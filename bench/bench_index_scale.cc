@@ -1,7 +1,7 @@
 // Scale trajectory of the query-by-frame index: lookup latency of the
-// inverted-list tier and the Bloom tier against a linear sketch scan, at
-// 10k / 100k / 1M synthetic clips. Signatures are synthesized directly
-// (no rendering) — the lanes measure index probe cost, not the extractor.
+// inverted list against a linear sketch scan, at 10k / 100k / 1M
+// synthetic clips. Signatures are synthesized directly (no rendering) —
+// the lanes measure index probe cost, not the extractor.
 //
 // The acceptance shape this bench exists to demonstrate: the linear scan
 // grows ~100x from 10k to 1M clips (it touches every sketch), while the
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "index/frame_index.h"
-#include "index/sketch.h"
 #include "index/token.h"
 #include "util/random.h"
 
@@ -47,7 +46,15 @@ Signature SyntheticSignature(uint64_t clip, int shot) {
   return signature;
 }
 
-// One scale's fixture: the frozen two-tier index, the flat sketch list the
+// One shot's sketch: its sorted, deduplicated token set — what the linear
+// baseline scans.
+struct ShotSketch {
+  int32_t video_id = -1;
+  int32_t shot_index = -1;
+  std::vector<uint64_t> tokens;  // sorted, unique
+};
+
+// One scale's fixture: the frozen index, the flat sketch list the
 // linear lane scans, and a planted query mix (half hits, half misses — a
 // lookup that finds nothing still pays its full probe cost).
 struct World {
@@ -164,18 +171,6 @@ void BM_InvertedLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_BloomLookup(benchmark::State& state) {
-  const World& world = WorldFor(state.range(0));
-  size_t i = 0;
-  for (auto _ : state) {
-    const std::vector<uint64_t>& query =
-        world.queries[i++ % world.queries.size()];
-    std::vector<FrameHit> hits = world.index.QueryBloom(query, kTopK);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
 }  // namespace
 }  // namespace index
 }  // namespace vdb
@@ -194,10 +189,6 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark("BM_InvertedLookup",
                                  vdb::index::BM_InvertedLookup)
-        ->Arg(clips)
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark("BM_BloomLookup",
-                                 vdb::index::BM_BloomLookup)
         ->Arg(clips)
         ->Unit(benchmark::kMicrosecond);
   }

@@ -24,6 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "core/video_database.h"
+#include "farm/committer.h"
 #include "store/catalog_store.h"
 #include "stream/frame_source.h"
 #include "stream/pipeline.h"
@@ -127,8 +128,15 @@ void BM_StreamIngestCheckpointed(benchmark::State& state) {
   int64_t shots = 0;
   for (auto _ : state) {
     ResetPeakRss();
+    farm::CommitterOptions commit;
+    commit.dir = ScratchDir("stream");
+    farm::Committer committer(commit);
+    committer.Init();
     stream::PipelineOptions options;
-    options.publish_dir = ScratchDir("stream");
+    options.publish_dir = commit.dir;
+    options.publish = [&committer](const CatalogEntry& entry) {
+      return committer.Publish(entry);
+    };
     options.checkpoint_every_shots = static_cast<int>(state.range(0));
     options.signature_threads = static_cast<int>(state.range(1));
     options.queue_capacity = 8;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Scale trajectory of the query-by-frame index: lookup latency of the
-# inverted-list and Bloom tiers against a linear sketch scan at
-# 10k / 100k / 1M synthetic clips. Writes BENCH_index_scale.json
+# inverted list against a linear sketch scan at 10k / 100k / 1M
+# synthetic clips. Writes BENCH_index_scale.json
 # (google-benchmark JSON) at the repo root and checks the acceptance
 # shape: the inverted lookup must grow sub-linearly (< 20x from 10k to
 # the largest scale) while the linear scan grows with the corpus.

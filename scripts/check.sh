@@ -88,7 +88,7 @@ for stage in "${STAGES[@]}"; do
       ;;
     index)
       # The query-by-frame index battery on its own: token quantization,
-      # sketch/Bloom tiers, planted-query recall, and the content-addressed
+      # the inverted postings, planted-query recall, and the content-addressed
       # segment persistence under ASan (postings decode, segment checksum
       # paths chew on bit-flipped files) and TSan (the server's coupled
       # catalog+index snapshot swap is exercised by the serve leg; here the

@@ -34,10 +34,10 @@ Result<stream::PublishReceipt> Committer::Publish(const CatalogEntry& entry) {
 
   entries_[entry.name] = entry;
 
-  // Rebuild the full cross-tenant catalog and save it as one generation.
-  // Entries are keyed by name in a std::map, so the rebuilt database's
-  // video order — and therefore the published bytes — is deterministic
-  // regardless of which tenant's checkpoint triggered this commit.
+  // Rebuild the full catalog and save it as one generation. Entries are
+  // keyed by name in a std::map, so the rebuilt database's video order —
+  // and therefore the published bytes — is deterministic regardless of
+  // which checkpoint triggered this commit.
   VideoDatabase db(options_.database);
   for (const auto& [name, e] : entries_) {
     (void)name;
@@ -53,14 +53,16 @@ Result<stream::PublishReceipt> Committer::Publish(const CatalogEntry& entry) {
   ++stats_.publishes;
   stats_.last_generation = saved->generation;
 
-  if (options_.publish_frame_index) {
-    // Best-effort, same contract as the solo pipeline: readers rebuild in
-    // memory when the FRAMEINDEX of a generation is missing.
-    index::FrameIndex frame_index = index::FrameIndex::Build(db);
-    Status index_saved = index::SaveFrameIndex(
-        options_.dir, saved->generation, frame_index, /*fault_hook=*/nullptr);
-    (void)index_saved;
-  }
+  // Publish the frame index of the generation just saved, so a server that
+  // reloads it finds a matching FRAMEINDEX and skips the rebuild.
+  // Best-effort: a failed or interrupted index publish never fails the
+  // checkpoint — readers fall back to rebuilding in memory — so the fault
+  // hook (which simulates kills to prove checkpoint durability)
+  // deliberately does not extend into it.
+  index::FrameIndex frame_index = index::FrameIndex::Build(db);
+  Status index_saved = index::SaveFrameIndex(
+      options_.dir, saved->generation, frame_index, /*fault_hook=*/nullptr);
+  (void)index_saved;
 
   stream::PublishReceipt receipt;
   receipt.generation = saved->generation;

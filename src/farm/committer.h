@@ -30,10 +30,6 @@ struct CommitterOptions {
 
   // Test-only crash injection, forwarded to every store Save.
   FaultHook fault_hook;
-
-  // Publish a FRAMEINDEX alongside each generation (best-effort, exactly
-  // like the solo pipeline's publish path).
-  bool publish_frame_index = true;
 };
 
 struct CommitterStats {
@@ -47,25 +43,27 @@ struct CommitterStats {
   int reloads_coalesced = 0;
 };
 
-// The farm's single-committer publish path: every tenant checkpoint funnels
-// through Publish(), which upserts that tenant's entry into the committer's
-// cross-tenant picture, saves the whole catalog as exactly one new store
-// generation, and (optionally) nudges a vdbserve to reload. Serializing
-// here — on top of the store's own per-directory publish lock — means N
-// concurrent checkpointing tenants commit contiguous generations, each
-// containing every tenant's newest published state.
+// The one publish path of the system: every pipeline checkpoint — a solo
+// run's or any farm tenant's — funnels through Publish(), which upserts
+// that entry by name into the committer's picture of the store, saves the
+// whole catalog as exactly one new store generation, publishes that
+// generation's FRAMEINDEX, and (optionally) nudges a vdbserve to reload.
+// Serializing here — on top of the store's own per-directory publish lock
+// — means N concurrent checkpointing tenants commit contiguous
+// generations, each containing every tenant's newest published state.
+// Video ids follow name order, whatever order the publishes arrive in.
 class Committer {
  public:
   explicit Committer(CommitterOptions options);
 
-  // Adopts whatever the store already holds as the base layer (the solo
-  // runs or earlier farm that wrote it). A missing store is the normal
-  // first-run case: empty base. A corrupt store also starts empty here and
-  // surfaces at the first Save, mirroring the solo pipeline.
+  // Adopts whatever the store already holds as the base layer (whichever
+  // runs wrote it earlier). A missing store is the normal first-run case:
+  // empty base. A corrupt store also starts empty here and surfaces at the
+  // first Save.
   void Init();
 
-  // Single-writer publish of one tenant's entry. Returns the receipt the
-  // pipeline mirrors into its report.
+  // Single-writer publish of one entry. Returns the receipt the pipeline
+  // mirrors into its report.
   Result<stream::PublishReceipt> Publish(const CatalogEntry& entry);
 
   CommitterStats stats() const;
@@ -73,7 +71,7 @@ class Committer {
  private:
   CommitterOptions options_;
   mutable std::mutex mu_;
-  std::map<std::string, CatalogEntry> entries_;  // newest entry per tenant
+  std::map<std::string, CatalogEntry> entries_;  // newest entry per name
   std::atomic<int> waiting_{0};  // publishers queued on mu_ right now
   CommitterStats stats_;
 };

@@ -171,11 +171,10 @@ Result<FarmReport> StreamFarm::Execute(std::vector<StreamSpec> specs,
       popts.checkpoint_every_media_seconds =
           options_.checkpoint_every_media_seconds;
       popts.publish_dir = options_.publish_dir;
-      popts.fault_hook = options_.fault_hook;
       popts.dispatcher = dispatcher_->AddTenant(i, tenant->weight);
       if (committer_ != nullptr) {
         Committer* committer = committer_.get();
-        popts.external_publish = [committer](const CatalogEntry& entry) {
+        popts.publish = [committer](const CatalogEntry& entry) {
           return committer->Publish(entry);
         };
       }

@@ -39,33 +39,15 @@ FrameIndex::FrameIndex(FrameIndexOptions options)
 void FrameIndex::AddVideo(int video_id, const VideoSignatures& signatures,
                           const std::vector<Shot>& shots) {
   VDB_CHECK(!frozen_) << "AddVideo on a frozen FrameIndex";
-  std::vector<uint64_t> video_tokens;
   for (size_t shot = 0; shot < shots.size(); ++shot) {
-    std::vector<uint64_t> tokens =
-        ShotTokenSet(signatures, shots[shot], options_.tokenizer);
-    for (uint64_t token : tokens) {
+    for (uint64_t token :
+         ShotTokenSet(signatures, shots[shot], options_.tokenizer)) {
       postings_.push_back(Posting{token, static_cast<int32_t>(video_id),
                                   static_cast<int32_t>(shot)});
     }
-    if (options_.build_bloom) {
-      video_tokens.insert(video_tokens.end(), tokens.begin(), tokens.end());
-    }
     ++shot_count_;
   }
-  if (options_.build_bloom) {
-    std::sort(video_tokens.begin(), video_tokens.end());
-    video_tokens.erase(std::unique(video_tokens.begin(), video_tokens.end()),
-                       video_tokens.end());
-    VideoBloom bloom;
-    bloom.video_id = static_cast<int32_t>(video_id);
-    bloom.filter =
-        BloomFilter(video_tokens.size(), options_.bloom_bits_per_key);
-    for (uint64_t token : video_tokens) {
-      bloom.filter.Add(token);
-    }
-    blooms_.push_back(std::move(bloom));
-  }
-  ++blooms_built_;
+  ++video_count_;
 }
 
 void FrameIndex::Freeze() {
@@ -138,72 +120,19 @@ std::vector<FrameHit> FrameIndex::QuerySignature(const Signature& signature,
                stats);
 }
 
-std::vector<FrameHit> FrameIndex::QueryBloom(
-    const std::vector<uint64_t>& query_tokens, int top_k,
-    FrameQueryStats* stats) const {
-  VDB_CHECK(frozen_) << "QueryBloom on an unfrozen FrameIndex";
-  FrameQueryStats local;
-  local.query_tokens = query_tokens.size();
-  std::vector<FrameHit> hits;
-  if (!query_tokens.empty()) {
-    const double denom = static_cast<double>(query_tokens.size());
-    for (const VideoBloom& bloom : blooms_) {
-      ++local.probed;
-      uint32_t matched = 0;
-      for (uint64_t token : query_tokens) {
-        if (bloom.filter.MayContain(token)) {
-          ++matched;
-        }
-      }
-      if (matched == 0) {
-        continue;
-      }
-      local.candidates += matched;
-      FrameHit hit;
-      hit.video_id = bloom.video_id;
-      hit.shot_index = -1;  // video-level tier
-      hit.score = static_cast<double>(matched) / denom;
-      hits.push_back(hit);
-    }
-    SortHits(&hits);
-    if (top_k >= 0 && hits.size() > static_cast<size_t>(top_k)) {
-      hits.resize(static_cast<size_t>(top_k));
-    }
-  }
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return hits;
-}
-
-size_t FrameIndex::bloom_bytes() const {
-  size_t total = 0;
-  for (const VideoBloom& bloom : blooms_) {
-    total += bloom.filter.ByteSize();
-  }
-  return total;
-}
-
 std::string FrameIndex::Serialize() const {
   VDB_CHECK(frozen_) << "Serialize on an unfrozen FrameIndex";
   BinaryWriter w;
   w.PutU32(static_cast<uint32_t>(options_.tokenizer.gram));
   w.PutU32(static_cast<uint32_t>(options_.tokenizer.quant_shift));
   w.PutU32(static_cast<uint32_t>(options_.tokenizer.frame_stride));
-  w.PutU8(options_.build_bloom ? 1 : 0);
-  w.PutDouble(options_.bloom_bits_per_key);
-  w.PutU64(blooms_built_);
+  w.PutU64(video_count_);
   w.PutI32(shot_count_);
   w.PutU64(postings_.size());
   for (const Posting& p : postings_) {
     w.PutU64(p.token);
     w.PutI32(p.video_id);
     w.PutI32(p.shot_index);
-  }
-  w.PutU32(static_cast<uint32_t>(blooms_.size()));
-  for (const VideoBloom& bloom : blooms_) {
-    w.PutI32(bloom.video_id);
-    bloom.filter.Serialize(&w);
   }
   return w.TakeBuffer();
 }
@@ -221,14 +150,10 @@ Result<FrameIndex> FrameIndex::Deserialize(std::string_view payload) {
   options.tokenizer.gram = static_cast<int>(gram);
   options.tokenizer.quant_shift = static_cast<int>(shift);
   options.tokenizer.frame_stride = static_cast<int>(stride);
-  VDB_ASSIGN_OR_RETURN(uint8_t build_bloom, r.GetU8("bloom flag"));
-  options.build_bloom = build_bloom != 0;
-  VDB_ASSIGN_OR_RETURN(options.bloom_bits_per_key,
-                       r.GetDouble("bloom bits per key"));
   FrameIndex index(options);
-  VDB_ASSIGN_OR_RETURN(index.blooms_built_, r.GetU64("video count"));
+  VDB_ASSIGN_OR_RETURN(index.video_count_, r.GetU64("video count"));
   VDB_ASSIGN_OR_RETURN(index.shot_count_, r.GetI32("shot count"));
-  if (index.blooms_built_ > kMaxVideosCap || index.shot_count_ < 0) {
+  if (index.video_count_ > kMaxVideosCap || index.shot_count_ < 0) {
     return Status::Corruption("implausible frame-index counts");
   }
   VDB_ASSIGN_OR_RETURN(uint64_t posting_count, r.GetU64("posting count"));
@@ -248,15 +173,6 @@ Result<FrameIndex> FrameIndex::Deserialize(std::string_view payload) {
       return Status::Corruption("frame-index postings out of order");
     }
     prev = &p;
-  }
-  VDB_ASSIGN_OR_RETURN(uint32_t bloom_count, r.GetU32("bloom count"));
-  if (bloom_count > kMaxVideosCap) {
-    return Status::Corruption("implausible bloom count");
-  }
-  index.blooms_.resize(bloom_count);
-  for (VideoBloom& bloom : index.blooms_) {
-    VDB_ASSIGN_OR_RETURN(bloom.video_id, r.GetI32("bloom video id"));
-    VDB_ASSIGN_OR_RETURN(bloom.filter, BloomFilter::Deserialize(&r));
   }
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after frame index");

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/video_database.h"
-#include "index/sketch.h"
 #include "index/token.h"
 #include "util/result.h"
 
@@ -15,32 +14,21 @@ namespace index {
 
 // The query-by-frame index: given one frame's signature, find every shot
 // whose sketch shares its tokens — the sub-linear complement to the linear
-// banded scan of core/variance_index.h (ROADMAP's million-clip workload,
-// after Araujo et al.'s Bloom-sketch video retrieval).
+// banded scan of core/variance_index.h (ROADMAP's million-clip workload).
 //
-// Two tiers over the same token stream:
-//  * Inverted list (exact): a frozen, sorted flat array of
-//    (token, video, shot) postings; a query binary-searches each of its
-//    tokens and ranks candidates by the fraction of query tokens they
-//    match. Lookup cost is O(Q log P + hits) — independent of catalog
-//    size except through the log.
-//  * Bloom tier (memory-bounded): one Bloom filter per video over the
-//    union of its shots' tokens. A query tests its tokens against every
-//    filter — still linear in videos, but at ~10 bits per token it holds
-//    catalogs whose posting lists would not fit, and reports a measured
-//    false-positive rate the property tests bound against the analytic one.
+// One exact tier: a frozen, sorted flat array of (token, video, shot)
+// postings. A query binary-searches each of its tokens and ranks
+// candidates by the fraction of query tokens they match. Lookup cost is
+// O(Q log P + hits) — independent of catalog size except through the log.
 //
 // Build is two-phase (AddVideo... then Freeze) so ingest can stream; a
 // frozen index is immutable and safe to share across threads.
 struct FrameIndexOptions {
   TokenizerOptions tokenizer;
-  // Build the per-video Bloom tier alongside the inverted list.
-  bool build_bloom = true;
-  double bloom_bits_per_key = 10.0;
 };
 
 // One ranked answer. score = matched query tokens / total query tokens, in
-// (0, 1]. Bloom-tier hits are video-level: shot_index is -1.
+// (0, 1].
 struct FrameHit {
   int32_t video_id = -1;
   int32_t shot_index = -1;
@@ -49,8 +37,8 @@ struct FrameHit {
 
 struct FrameQueryStats {
   uint64_t query_tokens = 0;  // distinct tokens in the query signature
-  uint64_t candidates = 0;    // postings scanned (bloom: filter hits)
-  uint64_t probed = 0;        // distinct shots touched (bloom: filters)
+  uint64_t candidates = 0;    // postings scanned
+  uint64_t probed = 0;        // distinct shots touched
 };
 
 class FrameIndex {
@@ -77,10 +65,10 @@ class FrameIndex {
   static FrameIndex Build(const VideoDatabase& db,
                           FrameIndexOptions options = FrameIndexOptions());
 
-  // Exact tier: ranked shots sharing tokens with `query_tokens` (a sorted
-  // unique set, e.g. from SignatureTokenSet). Results are ordered by
-  // (score desc, video_id asc, shot_index asc) and truncated to top_k —
-  // a total order, so a scatter-gathered merge reproduces it byte for byte.
+  // Ranked shots sharing tokens with `query_tokens` (a sorted unique set,
+  // e.g. from SignatureTokenSet). Results are ordered by (score desc,
+  // video_id asc, shot_index asc) and truncated to top_k — a total order,
+  // so a scatter-gathered merge reproduces it byte for byte.
   std::vector<FrameHit> Query(const std::vector<uint64_t>& query_tokens,
                               int top_k,
                               FrameQueryStats* stats = nullptr) const;
@@ -89,15 +77,9 @@ class FrameIndex {
   std::vector<FrameHit> QuerySignature(const Signature& signature, int top_k,
                                        FrameQueryStats* stats = nullptr) const;
 
-  // Bloom tier: ranked *videos* whose filter may contain query tokens.
-  std::vector<FrameHit> QueryBloom(const std::vector<uint64_t>& query_tokens,
-                                   int top_k,
-                                   FrameQueryStats* stats = nullptr) const;
-
-  int video_count() const { return static_cast<int>(blooms_built_); }
+  int video_count() const { return static_cast<int>(video_count_); }
   int shot_count() const { return shot_count_; }
   uint64_t posting_count() const { return postings_.size(); }
-  size_t bloom_bytes() const;
   const FrameIndexOptions& options() const { return options_; }
 
   // Serialization of a frozen index (payload only; index_store.h wraps it
@@ -123,15 +105,9 @@ class FrameIndex {
     }
   };
 
-  struct VideoBloom {
-    int32_t video_id = -1;
-    BloomFilter filter;
-  };
-
   FrameIndexOptions options_;
-  std::vector<Posting> postings_;   // frozen: sorted, unique
-  std::vector<VideoBloom> blooms_;  // in AddVideo order
-  uint64_t blooms_built_ = 0;       // videos added (even when bloom is off)
+  std::vector<Posting> postings_;  // frozen: sorted, unique
+  uint64_t video_count_ = 0;       // videos added
   int shot_count_ = 0;
   bool frozen_ = false;
 };

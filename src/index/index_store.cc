@@ -10,7 +10,10 @@ namespace vdb {
 namespace index {
 namespace {
 
-constexpr char kSegmentMagic[8] = {'V', 'D', 'B', 'F', 'I', 'S', 'E', 'G'};
+// Segment format 2 holds postings only; format 1 ("VDBFISEG") also carried
+// a per-video Bloom tier. A format-1 segment fails the magic check, so its
+// generation falls back to the in-memory rebuild every reader already has.
+constexpr char kSegmentMagic[8] = {'V', 'D', 'B', 'F', 'I', 'S', 'G', '2'};
 constexpr char kPointerMagic[8] = {'V', 'D', 'B', 'F', 'I', 'P', 'T', 'R'};
 constexpr char kPointerPrefix[] = "FRAMEINDEX-";
 constexpr size_t kPointerPrefixLen = sizeof(kPointerPrefix) - 1;

@@ -12,9 +12,6 @@
 #include "core/geometry.h"
 #include "core/scene_tree.h"
 #include "core/shot_detector.h"
-#include "index/frame_index.h"
-#include "index/index_store.h"
-#include "serve/client.h"
 #include "store/catalog_store.h"
 #include "util/bounded_queue.h"
 #include "util/parallel.h"
@@ -120,13 +117,9 @@ class Pipeline::Runner {
   // boundary at a checkpoint and the whole clip at the end.
   Result<CatalogEntry> BuildEntry(int covered_frames) const;
 
-  // Publishes `entry` (plus the store's pre-existing videos) as the next
-  // store generation and optionally asks a server to reload.
+  // Hands `entry` to the publish hook and mirrors its receipt into the
+  // report.
   Status Publish(const CatalogEntry& entry);
-
-  // Run(): carries the store's other videos through every publish.
-  void LoadBaseEntries(const std::string& exclude_name);
-  void CopyBaseEntries(const VideoDatabase& db, const std::string& exclude);
 
   // Resume(): seeds detector/signs/shots/tree from the stored checkpoint.
   Status SeedFromStore(FrameSource* source);
@@ -157,7 +150,6 @@ class Pipeline::Runner {
   bool saw_finish_ = false;
   int shots_since_checkpoint_ = 0;
   int checkpoint_frame_ = 0;  // first frame not covered by the last publish
-  std::vector<CatalogEntry> base_entries_;
 
   std::atomic<bool> aborted_{false};
   std::mutex error_mu_;
@@ -276,12 +268,12 @@ class Pipeline::Runner::SignatureAdapter : public SignatureWorkSource {
 Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
                                                  bool resume) {
   run_clock_.Reset();
-  const bool publishing = !options_.publish_dir.empty();
+  const bool publishing = static_cast<bool>(options_.publish);
   if ((options_.checkpoint_every_shots > 0 ||
        options_.checkpoint_every_media_seconds > 0) &&
       !publishing) {
     return Status::InvalidArgument(
-        "checkpoint cadence set without publish_dir");
+        "checkpoint cadence set without a publish hook");
   }
 
   VDB_ASSIGN_OR_RETURN(geometry_, ComputeAreaGeometry(source->width(),
@@ -294,10 +286,6 @@ Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
   if (resume) {
     VDB_RETURN_IF_ERROR(SeedFromStore(source));
     start_frame = resume_frame_;
-  } else if (publishing && !options_.external_publish) {
-    // With an external publisher (farm committer) the committer owns the
-    // store's other videos; carrying them here would double-publish them.
-    LoadBaseEntries(name_);
   }
 
   // External dispatch: the signature stage belongs to the farm's shared
@@ -563,94 +551,20 @@ Result<CatalogEntry> Pipeline::Runner::BuildEntry(int covered_frames) const {
 }
 
 Status Pipeline::Runner::Publish(const CatalogEntry& entry) {
-  if (options_.external_publish) {
-    // Farm mode: the single committer serializes this tenant's entry into
-    // the shared store (and decides whether a reload is due).
-    Result<PublishReceipt> receipt = options_.external_publish(entry);
-    if (!receipt.ok()) return receipt.status();
-    ++report_.checkpoints;
-    report_.store_generation = receipt->generation;
-    report_.reloads_ok += receipt->reloads_ok;
-    report_.reload_failures += receipt->reload_failures;
-    if (report_.first_publish_seconds < 0) {
-      report_.first_publish_seconds = run_clock_.ElapsedSeconds();
-    }
-    if (options_.checkpoint_callback) {
-      options_.checkpoint_callback(receipt->generation,
-                                   static_cast<int>(shots_.size()));
-    }
-    return Status::Ok();
-  }
-
-  VideoDatabase db(options_.database);
-  for (const CatalogEntry& base : base_entries_) {
-    Result<int> restored = db.Restore(base);
-    if (!restored.ok()) return restored.status();
-  }
-  Result<int> restored = db.Restore(entry);
-  if (!restored.ok()) return restored.status();
-
-  store::CatalogStore store(
-      options_.publish_dir,
-      store::StoreOptions{options_.database, options_.fault_hook});
-  Result<store::SaveStats> saved = store.Save(db);
-  if (!saved.ok()) return saved.status();
-
-  // Publish the frame index of the generation just saved, so a server that
-  // reloads this generation finds a matching FRAMEINDEX and skips the
-  // rebuild. Best-effort: a failed or interrupted index publish never
-  // fails the checkpoint — readers fall back to rebuilding in memory —
-  // so the fault hook (which simulates kills to prove checkpoint
-  // durability) deliberately does not extend into it.
-  index::FrameIndex frame_index = index::FrameIndex::Build(db);
-  Status index_saved = index::SaveFrameIndex(
-      options_.publish_dir, saved->generation, frame_index,
-      /*fault_hook=*/nullptr);
-  (void)index_saved;
-
+  Result<PublishReceipt> receipt = options_.publish(entry);
+  if (!receipt.ok()) return receipt.status();
   ++report_.checkpoints;
-  report_.store_generation = saved->generation;
+  report_.store_generation = receipt->generation;
+  report_.reloads_ok += receipt->reloads_ok;
+  report_.reload_failures += receipt->reload_failures;
   if (report_.first_publish_seconds < 0) {
     report_.first_publish_seconds = run_clock_.ElapsedSeconds();
   }
   if (options_.checkpoint_callback) {
-    options_.checkpoint_callback(saved->generation,
+    options_.checkpoint_callback(receipt->generation,
                                  static_cast<int>(shots_.size()));
   }
-
-  if (!options_.reload_host.empty() && options_.reload_port > 0) {
-    Result<serve::Client> client =
-        serve::Client::Connect(options_.reload_host, options_.reload_port);
-    bool reloaded = client.ok();
-    if (reloaded) reloaded = client->Reload().ok();
-    if (reloaded) {
-      ++report_.reloads_ok;
-    } else {
-      ++report_.reload_failures;
-    }
-  }
   return Status::Ok();
-}
-
-void Pipeline::Runner::LoadBaseEntries(const std::string& exclude_name) {
-  store::CatalogStore store(
-      options_.publish_dir,
-      store::StoreOptions{options_.database, options_.fault_hook});
-  Result<std::unique_ptr<VideoDatabase>> opened = store.Open();
-  // A missing or empty store is the normal first-run case; the first
-  // publish creates it. (A corrupt store surfaces at Save time.)
-  if (!opened.ok()) return;
-  CopyBaseEntries(**opened, exclude_name);
-}
-
-void Pipeline::Runner::CopyBaseEntries(const VideoDatabase& db,
-                                       const std::string& exclude) {
-  for (int id = 0; id < db.video_count(); ++id) {
-    Result<const CatalogEntry*> entry = db.GetEntry(id);
-    if (!entry.ok()) continue;
-    if ((*entry)->name == exclude) continue;
-    base_entries_.push_back(**entry);
-  }
 }
 
 Status Pipeline::Runner::SeedFromStore(FrameSource* source) {
@@ -664,7 +578,7 @@ Status Pipeline::Runner::SeedFromStore(FrameSource* source) {
   }
   store::CatalogStore store(
       options_.publish_dir,
-      store::StoreOptions{options_.database, options_.fault_hook});
+      store::StoreOptions{options_.database, /*fault_hook=*/nullptr});
   VDB_ASSIGN_OR_RETURN(std::unique_ptr<VideoDatabase> db, store.Open());
 
   const CatalogEntry* found = nullptr;
@@ -704,7 +618,6 @@ Status Pipeline::Runner::SeedFromStore(FrameSource* source) {
   checkpoint_frame_ = found->frame_count;
   report_.resumed_from_frame = resume_frame_;
   report_.resumed_shots = static_cast<int>(shots_.size());
-  if (!options_.external_publish) CopyBaseEntries(*db, source->name());
   return source->SeekToFrame(resume_frame_);
 }
 

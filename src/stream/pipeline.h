@@ -11,14 +11,13 @@
 #include "core/video_database.h"
 #include "stream/dispatch.h"
 #include "stream/frame_source.h"
-#include "util/fs.h"
 #include "util/result.h"
 
 namespace vdb {
 namespace stream {
 
-// What an external publisher (the farm's single committer) reports back
-// for one checkpoint publish, mirrored into the pipeline's report.
+// What the publish hook (a farm::Committer) reports back for one
+// checkpoint publish, mirrored into the pipeline's report.
 struct PublishReceipt {
   uint64_t generation = 0;  // store generation this publish committed
   int reloads_ok = 0;
@@ -41,38 +40,25 @@ struct PipelineOptions {
 
   // Checkpoint cadence: publish after every N closed shots and/or every M
   // media-seconds of closed shots (0 disables that trigger). Setting either
-  // requires publish_dir.
+  // requires `publish`.
   int checkpoint_every_shots = 0;
   double checkpoint_every_media_seconds = 0.0;
 
-  // Store directory checkpoints and the final catalog are published to
-  // (store::CatalogStore). Empty = never publish, Run() only returns the
-  // entry.
+  // The store directory `publish` commits into. Resume() seeds from the
+  // entry stored there under the source's name.
   std::string publish_dir;
 
-  // When set, every successful publish asks this vdbserve instance to
-  // RELOAD, so queries see the partially-ingested video live. Reload
-  // failures are counted, never fatal (the store stays ahead of the
-  // server).
-  std::string reload_host;
-  int reload_port = 0;
-
-  // Test-only crash injection, forwarded to the store on every publish.
-  FaultHook fault_hook;
+  // Publishes one entry — every checkpoint and the final analysis — and
+  // reports what it committed. Callers wire it to a farm::Committer over
+  // publish_dir, which owns the store's other videos, the FRAMEINDEX and
+  // the server RELOAD. Unset = never publish: Run() only returns the entry.
+  std::function<Result<PublishReceipt>(const CatalogEntry&)> publish;
 
   // External signature dispatch (the ingest farm): when set, the pipeline
   // spawns no signature workers of its own — it attaches a work source to
   // this dispatcher at run start, and the dispatcher's shared workers call
   // ProcessOne until the stream drains. signature_threads is ignored.
   SignatureDispatcher* dispatcher = nullptr;
-
-  // External publish (the farm's single committer): when set, every
-  // checkpoint and the final publish call this instead of the built-in
-  // store Save + reload, and the pipeline does not load or carry the
-  // store's other videos (the committer owns cross-tenant state).
-  // publish_dir must still name the shared store: Resume seeds from it and
-  // the checkpoint-cadence precondition is keyed on it.
-  std::function<Result<PublishReceipt>(const CatalogEntry&)> external_publish;
 
   // Live progress hook: called from the finalize stage after each in-order
   // frame with the count of frames finalized so far. The farm's lag
@@ -139,7 +125,8 @@ struct PipelineResult {
 // * signature workers run ComputeFrameSignature — pixels die here;
 // * SBD reorders fan-out results and feeds StreamingShotDetector;
 // * finalize appends signs, computes per-shot features, grows the scene
-//   tree (SceneTreeAccumulator), and checkpoints to the store when due.
+//   tree (SceneTreeAccumulator), and hands a checkpoint entry to the
+//   publish hook when due.
 //
 // The result is bit-identical to batch ingest of the same clip — same
 // shots, stats, features, tree — because every stage is a streaming

@@ -67,6 +67,13 @@ struct MotionCase {
   CameraMotionLabel expected;
 };
 
+// Names each case by its fields. Without it gtest prints the raw bytes,
+// padding included, and the test names change from build to build.
+void PrintTo(const MotionCase& mc, std::ostream* os) {
+  *os << CameraMotionLabelName(mc.expected) << " speed=" << mc.speed
+      << " zoom=" << mc.zoom_rate;
+}
+
 class MotionClassifyTest : public testing::TestWithParam<MotionCase> {};
 
 TEST_P(MotionClassifyTest, ClassifiesRenderedShot) {

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -523,7 +525,56 @@ TEST(FarmMetricsTest, QueueCountersCheckpointsAndInFlightBoundAddUp) {
   }
 }
 
-// A farm object runs one batch at a time.
+// A frame source that holds its first Next() until released, so a test
+// can keep a Run() provably in flight for as long as it needs.
+class GatedSource : public stream::FrameSource {
+ public:
+  explicit GatedSource(const Video& video)
+      : inner_(stream::MakeVideoFrameSource(video)) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  double fps() const override { return inner_->fps(); }
+  int width() const override { return inner_->width(); }
+  int height() const override { return inner_->height(); }
+  int frame_count() const override { return inner_->frame_count(); }
+  bool AtEnd() const override { return inner_->AtEnd(); }
+  Status SeekToFrame(int frame_index) override {
+    return inner_->SeekToFrame(frame_index);
+  }
+
+  Result<Frame> Next() override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return inner_->Next();
+  }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::unique_ptr<stream::FrameSource> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// A farm object runs one batch at a time. The first Run is held inside its
+// source's Next() until the second Run has returned, so the two always
+// overlap: the second is refused with kFailedPrecondition and the first,
+// once released, finishes normally.
 TEST(FarmMetricsTest, SecondConcurrentRunIsRefused) {
   const Video& video = PresetVideo(TenShotStoryboard());
 
@@ -531,28 +582,28 @@ TEST(FarmMetricsTest, SecondConcurrentRunIsRefused) {
   options.signature_workers = 1;
   StreamFarm farm(options);
 
-  std::atomic<bool> inner_checked{false};
+  auto gated = std::make_unique<GatedSource>(RenamedCopy(video, "outer"));
+  GatedSource* gate = gated.get();
+  Result<FarmReport> first = Status::Internal("first run never returned");
   std::thread runner([&] {
-    std::vector<StreamSpec> specs;
-    specs.push_back(SpecFor(RenamedCopy(video, "outer")));
-    Result<FarmReport> report = farm.Run(std::move(specs));
-    EXPECT_TRUE(report.ok()) << report.status();
+    std::vector<StreamSpec> specs(1);
+    specs[0].source = std::move(gated);
+    first = farm.Run(std::move(specs));
   });
-  // Poke a second Run while the first is likely active; either it loses
-  // the race and is refused, or the first already finished and it runs —
-  // both are legal, but a refusal must be kFailedPrecondition.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate->WaitEntered();
   {
     std::vector<StreamSpec> specs;
     specs.push_back(SpecFor(RenamedCopy(video, "inner")));
     Result<FarmReport> second = farm.Run(std::move(specs));
-    if (!second.ok()) {
-      EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
-    }
-    inner_checked.store(true);
+    EXPECT_FALSE(second.ok()) << "the second run was admitted";
+    EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
   }
+  gate->Release();
   runner.join();
-  EXPECT_TRUE(inner_checked.load());
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->streams.size(), 1u);
+  EXPECT_EQ(first->streams[0].state, StreamState::kFinished);
+  EXPECT_EQ(first->streams[0].report.frames, video.frame_count());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Frame-index retrieval quality and format tests: planted-query recall on
-// a synthetic catalog (the ISSUE acceptance bar: >= 0.99 for the inverted
-// tier), hit-order determinism, byte-exact serialization, and the Bloom
-// tier's video-level behaviour.
+// a synthetic catalog (the acceptance bar: >= 0.99), hit-order
+// determinism, and byte-exact serialization.
 
 #include "index/frame_index.h"
 
@@ -166,26 +165,6 @@ TEST_F(FrameIndexRecallTest, DeserializeRejectsCorruption) {
     // Either rejected outright, or decoded into something self-consistent;
     // it must never crash. (Most mutations break the sorted-unique check.)
     (void)r;
-  }
-}
-
-TEST_F(FrameIndexRecallTest, BloomTierFindsTheTrueVideo) {
-  FrameIndexOptions options;
-  options.build_bloom = true;
-  FrameIndex index = FrameIndex::Build(*db_, options);
-  EXPECT_GT(index.bloom_bytes(), 0u);
-  std::vector<synth::PlantedQuery> queries =
-      synth::PlantQueries(*db_, 30, /*seed=*/8, options.tokenizer);
-  for (const synth::PlantedQuery& query : queries) {
-    std::vector<uint64_t> tokens =
-        SignatureTokenSet(query.signature, options.tokenizer);
-    std::vector<FrameHit> hits = index.QueryBloom(tokens, 3);
-    bool found = false;
-    for (const FrameHit& hit : hits) {
-      EXPECT_EQ(hit.shot_index, -1) << "bloom hits are video-level";
-      if (hit.video_id == query.video_id) found = true;
-    }
-    EXPECT_TRUE(found) << "bloom tier missed video " << query.video_id;
   }
 }
 

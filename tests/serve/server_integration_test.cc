@@ -27,7 +27,9 @@
 #include "synth/presets.h"
 #include "synth/queries.h"
 #include "tests/support/render_cache.h"
+#include "util/binary_io.h"
 #include "util/fs.h"
+#include "video/video_io.h"  // Fnv1a32
 
 namespace vdb {
 namespace serve {
@@ -866,22 +868,120 @@ TEST_F(ServerIntegrationTest, StoreServingPrefersThePersistedIndex) {
   store::CatalogStore catalog_store(StorePath());
   Result<store::SaveStats> saved = catalog_store.Save(*direct_);
   ASSERT_TRUE(saved.ok());
-  // Publish an index built without the Bloom tier: bloom_bytes() == 0 is
-  // then observable proof the server opened the persisted index instead of
-  // rebuilding (a rebuild uses the default options, whose tier is on).
-  index::FrameIndexOptions no_bloom;
-  no_bloom.build_bloom = false;
-  ASSERT_TRUE(index::SaveFrameIndex(
-                  StorePath(), saved->generation,
-                  index::FrameIndex::Build(*direct_, no_bloom))
-                  .ok());
+  index::FrameIndex built = index::FrameIndex::Build(*direct_);
+  ASSERT_TRUE(
+      index::SaveFrameIndex(StorePath(), saved->generation, built).ok());
+
+  Result<Server::LoadedSnapshot> loaded =
+      Server::LoadCatalogs({StorePath()});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->index_from_store);
+  EXPECT_EQ(loaded->frame_index->Serialize(), built.Serialize());
 
   Server server;
   ASSERT_TRUE(server.Start({StorePath()}).ok());
   std::shared_ptr<const index::FrameIndex> live = server.frame_index();
   ASSERT_NE(live, nullptr);
-  EXPECT_EQ(live->bloom_bytes(), 0u);
-  EXPECT_EQ(live->shot_count(), index::FrameIndex::Build(*direct_).shot_count());
+  EXPECT_EQ(live->Serialize(), built.Serialize());
+  WipeStore();
+}
+
+// Plants a FRAMEINDEX of the previous segment format (magic "VDBFISEG",
+// payload still carrying the per-video Bloom tier's fields, here empty)
+// as the index of catalog generation `generation`.
+void PlantFormat1FrameIndex(const std::string& dir, uint64_t generation,
+                            const index::FrameIndex& frame_index) {
+  // Format 2 payload: tokenizer (3 x u32), then counts and postings.
+  // Format 1 put a u8 Bloom flag and a double bits-per-key after the
+  // tokenizer and a u32 Bloom-filter count after the postings.
+  const std::string current = frame_index.Serialize();
+  BinaryWriter tier;
+  tier.PutU8(0);
+  tier.PutDouble(10.0);
+  BinaryWriter tail;
+  tail.PutU32(0);
+  const std::string payload = current.substr(0, 12) + tier.TakeBuffer() +
+                              current.substr(12) + tail.TakeBuffer();
+
+  auto checksummed = [](const char* magic, const std::string& body) {
+    BinaryWriter header;
+    header.PutU32(Fnv1a32(reinterpret_cast<const uint8_t*>(body.data()),
+                          body.size()));
+    return std::string(magic, 8) + header.TakeBuffer() + body;
+  };
+  const std::string segment =
+      "fidx-00000000000000f1-" + std::to_string(payload.size()) + ".fidx";
+  ASSERT_TRUE(WriteFileAtomic(dir + "/" + segment,
+                              checksummed("VDBFISEG", payload))
+                  .ok());
+  BinaryWriter pointer;
+  pointer.PutU64(generation);
+  pointer.PutString(segment);
+  pointer.PutU64(payload.size());
+  pointer.PutU32(Fnv1a32(reinterpret_cast<const uint8_t*>(payload.data()),
+                         payload.size()));
+  ASSERT_TRUE(WriteFileAtomic(dir + "/" + index::FrameIndexPointerName(
+                                             generation),
+                              checksummed("VDBFIPTR", pointer.TakeBuffer()))
+                  .ok());
+}
+
+// A generation whose FRAMEINDEX predates the current segment format is
+// refused at open, and the server falls back to rebuilding the index in
+// memory: QUERYFRAME answers exactly as a freshly built index does.
+TEST_F(ServerIntegrationTest, OldFormatFrameIndexFallsBackToRebuild) {
+  WipeStore();
+  store::CatalogStore catalog_store(StorePath());
+  Result<store::SaveStats> saved = catalog_store.Save(*direct_);
+  ASSERT_TRUE(saved.ok());
+  index::FrameIndex fresh = index::FrameIndex::Build(*direct_);
+  PlantFormat1FrameIndex(StorePath(), saved->generation, fresh);
+
+  Result<index::FrameIndex> opened =
+      index::OpenFrameIndex(StorePath(), saved->generation);
+  ASSERT_FALSE(opened.ok()) << "a format-1 segment was accepted";
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status();
+
+  Result<Server::LoadedSnapshot> loaded =
+      Server::LoadCatalogs({StorePath()});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_FALSE(loaded->index_from_store);
+
+  Server server;
+  ASSERT_TRUE(server.Start({StorePath()}).ok());
+  Client client = Connect(server);
+  std::vector<synth::PlantedQuery> planted = synth::PlantQueries(
+      *direct_, 20, /*seed=*/314, fresh.options().tokenizer);
+  ASSERT_FALSE(planted.empty());
+  for (const synth::PlantedQuery& query : planted) {
+    QueryFrameRequest request;
+    request.top_k = 5;
+    request.signature_rgb = SignatureBytes(query.signature);
+    Result<QueryFrameResponse> served = client.QueryFrame(request);
+    ASSERT_TRUE(served.ok()) << served.status();
+
+    Response expected;
+    expected.verb = Verb::kQueryFrame;
+    index::FrameQueryStats stats;
+    for (const index::FrameHit& hit :
+         fresh.QuerySignature(query.signature, 5, &stats)) {
+      FrameHitWire wire;
+      wire.video_id = hit.video_id;
+      wire.shot_index = hit.shot_index;
+      wire.score = hit.score;
+      wire.video_name = direct_->GetEntry(hit.video_id).value()->name;
+      expected.query_frame.hits.push_back(wire);
+    }
+    expected.query_frame.query_tokens = stats.query_tokens;
+    expected.query_frame.candidates = stats.candidates;
+    expected.query_frame.probed = stats.probed;
+    Response got;
+    got.verb = Verb::kQueryFrame;
+    got.query_frame = *served;
+    EXPECT_EQ(EncodeResponse(got), EncodeResponse(expected));
+  }
+  server.Stop();
   WipeStore();
 }
 

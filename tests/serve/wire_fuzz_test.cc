@@ -75,7 +75,7 @@ std::vector<std::string> Corpus() {
   for (int i = 0; i < 3; ++i) {
     FrameHitWire hit;
     hit.video_id = i;
-    hit.shot_index = i - 1;  // includes a -1 (video-level bloom hit)
+    hit.shot_index = i - 1;  // includes a -1: the wire field is signed
     hit.score = 1.0 / (i + 1);
     hit.video_name = "fuzz-clip-" + std::to_string(i);
     frame_hits.query_frame.hits.push_back(hit);

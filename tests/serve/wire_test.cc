@@ -405,7 +405,7 @@ TEST(WireResponseTest, QueryFrameHitsRoundTripExactly) {
   for (int i = 0; i < 3; ++i) {
     FrameHitWire hit;
     hit.video_id = 10 + i;
-    hit.shot_index = i == 2 ? -1 : i;  // bloom hits are video-level
+    hit.shot_index = i == 2 ? -1 : i;  // the wire field is signed
     hit.score = 1.0 - 0.25 * i;
     hit.video_name = "clip-" + std::to_string(i);
     response.query_frame.hits.push_back(hit);

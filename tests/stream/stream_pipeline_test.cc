@@ -17,6 +17,7 @@
 
 #include "core/catalog_io.h"
 #include "core/video_database.h"
+#include "farm/committer.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "store/catalog_store.h"
@@ -56,6 +57,20 @@ std::string FreshDir(const std::string& tag) {
     std::remove(dir.c_str());
   }
   return dir;
+}
+
+// Points `options` at a Committer over `commit.dir` — the publish path
+// every publishing caller wires. The committer must outlive the run.
+std::unique_ptr<farm::Committer> PublishThrough(farm::CommitterOptions commit,
+                                                PipelineOptions* options) {
+  options->publish_dir = commit.dir;
+  auto committer = std::make_unique<farm::Committer>(std::move(commit));
+  committer->Init();
+  farm::Committer* raw = committer.get();
+  options->publish = [raw](const CatalogEntry& entry) {
+    return raw->Publish(entry);
+  };
+  return committer;
 }
 
 Result<PipelineResult> StreamVideo(const Video& video,
@@ -196,7 +211,8 @@ TEST(StreamPipelineTest, CheckpointsPublishLiveAndServerSeesMidIngest) {
   const std::string dir = FreshDir("live");
 
   // Seed the store with an unrelated video so the server has something to
-  // start from, and so publishes must carry base entries forward.
+  // start from, and so publishes must carry the store's other entries
+  // forward.
   {
     VideoDatabase base;
     const SyntheticVideo& friends =
@@ -211,13 +227,16 @@ TEST(StreamPipelineTest, CheckpointsPublishLiveAndServerSeesMidIngest) {
   std::mutex seen_mu;
   std::vector<int> server_video_counts;  // sampled at each checkpoint
   PipelineOptions options;
-  options.publish_dir = dir;
   options.checkpoint_every_shots = 2;
-  options.reload_host = "127.0.0.1";
-  options.reload_port = server.port();
+  farm::CommitterOptions commit;
+  commit.dir = dir;
+  commit.reload_host = "127.0.0.1";
+  commit.reload_port = server.port();
+  std::unique_ptr<farm::Committer> committer =
+      PublishThrough(commit, &options);
   options.checkpoint_callback = [&](uint64_t /*generation*/, int /*shots*/) {
-    // This runs after Save but before this generation's reload, so the
-    // server currently reflects the *previous* checkpoint.
+    // This runs once the committer has saved and reloaded this generation,
+    // so the server already reflects the checkpoint just published.
     std::lock_guard<std::mutex> lock(seen_mu);
     server_video_counts.push_back(server.snapshot()->video_count());
   };
@@ -236,27 +255,31 @@ TEST(StreamPipelineTest, CheckpointsPublishLiveAndServerSeesMidIngest) {
   EXPECT_EQ(result->report.reload_failures, 0);
   EXPECT_EQ(result->report.reloads_ok, result->report.checkpoints);
 
-  // From the second checkpoint on, the mid-ingest server already served
+  // From the first checkpoint on, the mid-ingest server already served
   // the streaming clip alongside the base video.
   {
     std::lock_guard<std::mutex> lock(seen_mu);
     ASSERT_GE(server_video_counts.size(), 2u);
-    EXPECT_EQ(server_video_counts.front(), 1);  // before the first reload
-    for (size_t i = 1; i < server_video_counts.size(); ++i) {
+    for (size_t i = 0; i < server_video_counts.size(); ++i) {
       EXPECT_EQ(server_video_counts[i], 2) << "checkpoint " << i;
     }
   }
 
   // After the run the served snapshot has the complete clip, identical to
-  // a batch ingest of the same video.
+  // a batch ingest of the same video. The committer orders video ids by
+  // name, so the clip is found by name rather than by position.
   std::shared_ptr<const VideoDatabase> snapshot = server.snapshot();
   ASSERT_EQ(snapshot->video_count(), 2);
   VideoDatabase batch;
   Result<int> id = batch.Ingest(video);
   ASSERT_TRUE(id.ok());
   const CatalogEntry* expected = batch.GetEntry(*id).value();
-  const CatalogEntry* served = snapshot->GetEntry(1).value();
-  EXPECT_EQ(served->name, expected->name);
+  const CatalogEntry* served = nullptr;
+  for (int v = 0; v < snapshot->video_count(); ++v) {
+    const CatalogEntry* entry = snapshot->GetEntry(v).value();
+    if (entry->name == expected->name) served = entry;
+  }
+  ASSERT_NE(served, nullptr) << "streamed clip missing from the snapshot";
   EXPECT_EQ(EntryBytes(*served), EntryBytes(*expected));
 
   server.Stop();
@@ -271,8 +294,11 @@ TEST(StreamPipelineTest, CancelMidShotLeavesStoreAtPreviousCheckpoint) {
       testsupport::CachedRender(TenShotStoryboard()).video;
 
   PipelineOptions options;
-  options.publish_dir = dir;
   options.checkpoint_every_shots = 2;
+  farm::CommitterOptions commit;
+  commit.dir = dir;
+  std::unique_ptr<farm::Committer> committer =
+      PublishThrough(commit, &options);
 
   std::mutex mu;
   uint64_t last_generation = 0;

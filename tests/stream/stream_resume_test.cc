@@ -16,6 +16,7 @@
 
 #include "core/catalog_io.h"
 #include "core/video_database.h"
+#include "farm/committer.h"
 #include "store/catalog_store.h"
 #include "stream/frame_source.h"
 #include "stream/pipeline.h"
@@ -75,17 +76,39 @@ class StreamResumeTest : public testing::Test {
     video_ = nullptr;
   }
 
-  static PipelineOptions Options(const std::string& dir) {
+  // Runs (or resumes) `source` into `dir`, publishing through a fresh
+  // Committer the way every publishing caller does. `hook` is the store
+  // fault hook the committer forwards to each Save.
+  static Result<PipelineResult> Ingest(const std::string& dir,
+                                       FrameSource* source, bool resume,
+                                       FaultHook hook = nullptr,
+                                       VideoDatabaseOptions database = {}) {
+    farm::CommitterOptions commit;
+    commit.database = database;
+    commit.dir = dir;
+    commit.fault_hook = std::move(hook);
+    farm::Committer committer(commit);
+    committer.Init();
     PipelineOptions options;
+    options.database = database;
     options.publish_dir = dir;
     options.checkpoint_every_shots = kShotsPerCheckpoint;
-    return options;
+    options.publish = [&committer](const CatalogEntry& entry) {
+      return committer.Publish(entry);
+    };
+    Pipeline pipeline(std::move(options));
+    return resume ? pipeline.Resume(source) : pipeline.Run(source);
   }
 
-  static Result<PipelineResult> RunInto(PipelineOptions options) {
+  static Result<PipelineResult> RunInto(const std::string& dir,
+                                        FaultHook hook = nullptr) {
     std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
-    Pipeline pipeline(std::move(options));
-    return pipeline.Run(source.get());
+    return Ingest(dir, source.get(), /*resume=*/false, std::move(hook));
+  }
+
+  static Result<PipelineResult> ResumeInto(const std::string& dir) {
+    std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
+    return Ingest(dir, source.get(), /*resume=*/true);
   }
 
   static Video* video_;
@@ -98,7 +121,7 @@ Video* StreamResumeTest::video_ = nullptr;
 TEST_F(StreamResumeTest, KillAtEveryFaultPointThenResumeConverges) {
   // The reference: one uninterrupted checkpointing run.
   const std::string clean_dir = FreshDir("clean");
-  Result<PipelineResult> clean = RunInto(Options(clean_dir));
+  Result<PipelineResult> clean = RunInto(clean_dir);
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_GE(clean->report.shots, 2 * kShotsPerCheckpoint)
       << "corpus too small: need at least two checkpoints";
@@ -108,15 +131,10 @@ TEST_F(StreamResumeTest, KillAtEveryFaultPointThenResumeConverges) {
 
   // Count the fault points one full run consults (hook never fires).
   int total_points = 0;
-  {
-    const std::string dir = FreshDir("probe");
-    PipelineOptions options = Options(dir);
-    options.fault_hook = [&total_points](std::string_view) {
-      ++total_points;
-      return true;
-    };
-    ASSERT_TRUE(RunInto(std::move(options)).ok());
-  }
+  ASSERT_TRUE(RunInto(FreshDir("probe"), [&total_points](std::string_view) {
+                ++total_points;
+                return true;
+              }).ok());
   ASSERT_GT(total_points, 0);
 
   for (int kill = 0; kill < total_points; ++kill) {
@@ -128,11 +146,10 @@ TEST_F(StreamResumeTest, KillAtEveryFaultPointThenResumeConverges) {
     // and aborts the pipeline right there.
     {
       int seen = 0;
-      PipelineOptions options = Options(dir);
-      options.fault_hook = [&seen, kill](std::string_view) {
-        return seen++ != kill;
-      };
-      Result<PipelineResult> doomed = RunInto(std::move(options));
+      Result<PipelineResult> doomed =
+          RunInto(dir, [&seen, kill](std::string_view) {
+            return seen++ != kill;
+          });
       ASSERT_FALSE(doomed.ok()) << "kill point " << kill << " never fired";
     }
 
@@ -140,11 +157,9 @@ TEST_F(StreamResumeTest, KillAtEveryFaultPointThenResumeConverges) {
     // can leave no loadable generation at all — then resume reports the
     // missing checkpoint and a fresh run is the recovery path, exactly as
     // a production supervisor would retry.
-    std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
-    Pipeline pipeline(Options(dir));
-    Result<PipelineResult> resumed = pipeline.Resume(source.get());
+    Result<PipelineResult> resumed = ResumeInto(dir);
     if (!resumed.ok()) {
-      Result<PipelineResult> fresh = RunInto(Options(dir));
+      Result<PipelineResult> fresh = RunInto(dir);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_EQ(fresh->report.resumed_from_frame, 0);
     } else {
@@ -170,18 +185,16 @@ TEST_F(StreamResumeTest, ResumeErrorsAreTyped) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
   {
-    const std::string dir = FreshDir("empty");
-    std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
-    Pipeline pipeline(Options(dir));
-    Result<PipelineResult> result = pipeline.Resume(source.get());
+    Result<PipelineResult> result = ResumeInto(FreshDir("empty"));
     ASSERT_FALSE(result.ok());
   }
   {
-    PipelineOptions options = Options(FreshDir("gradual"));
-    options.database.detector.detect_gradual = true;
+    VideoDatabaseOptions gradual;
+    gradual.detector.detect_gradual = true;
     std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
-    Pipeline pipeline(std::move(options));
-    Result<PipelineResult> result = pipeline.Resume(source.get());
+    Result<PipelineResult> result =
+        Ingest(FreshDir("gradual"), source.get(), /*resume=*/true,
+               /*hook=*/nullptr, gradual);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   }
@@ -191,13 +204,11 @@ TEST_F(StreamResumeTest, ResumeErrorsAreTyped) {
 // without touching a single frame.
 TEST_F(StreamResumeTest, ResumeOfCompletedRunIsANoOpRepublish) {
   const std::string dir = FreshDir("done");
-  Result<PipelineResult> first = RunInto(Options(dir));
+  Result<PipelineResult> first = RunInto(dir);
   ASSERT_TRUE(first.ok()) << first.status();
   const std::string want = StoreFingerprint(dir);
 
-  std::unique_ptr<FrameSource> source = MakeVideoFrameSource(*video_);
-  Pipeline pipeline(Options(dir));
-  Result<PipelineResult> again = pipeline.Resume(source.get());
+  Result<PipelineResult> again = ResumeInto(dir);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->report.frames, 0);
   EXPECT_EQ(again->report.resumed_from_frame, video_->frame_count());
@@ -217,15 +228,13 @@ TEST_F(StreamResumeTest, ResumeOfCompletedRunWorksThroughFileSource) {
 
   Result<std::unique_ptr<FrameSource>> source = OpenVideoFileSource(path);
   ASSERT_TRUE(source.ok()) << source.status();
-  Pipeline first(Options(dir));
-  Result<PipelineResult> ran = first.Run(source->get());
+  Result<PipelineResult> ran = Ingest(dir, source->get(), /*resume=*/false);
   ASSERT_TRUE(ran.ok()) << ran.status();
   const std::string want = StoreFingerprint(dir);
 
   Result<std::unique_ptr<FrameSource>> again = OpenVideoFileSource(path);
   ASSERT_TRUE(again.ok()) << again.status();
-  Pipeline pipeline(Options(dir));
-  Result<PipelineResult> resumed = pipeline.Resume(again->get());
+  Result<PipelineResult> resumed = Ingest(dir, again->get(), /*resume=*/true);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->report.frames, 0);
   EXPECT_EQ(resumed->report.resumed_from_frame, video_->frame_count());

@@ -51,7 +51,7 @@ constexpr char kUsage[] =
     "  vdbtool store-shard <store-dir> <out-dir> <shards> [seed]\n"
     "  vdbtool stream-ingest <clip.vdb> <store-dir> [shots-per-checkpoint]\n"
     "  vdbtool index-build <store-dir>\n"
-    "  vdbtool index-query <store-dir> <video> <shot> [k] [--bloom]\n"
+    "  vdbtool index-query <store-dir> <video> <shot> [k]\n"
     "  vdbtool tree <clip.vdb>\n"
     "  vdbtool query <catalog.vdbcat> <varBA> <varOA> [k] [genre=G] "
     "[form=F]\n"
@@ -102,8 +102,7 @@ TEST(VdbtoolCliTest, IndexCommandsAreAdvertised) {
   EXPECT_NE(std::string(kUsage).find("vdbtool index-build <store-dir>"),
             std::string::npos);
   EXPECT_NE(std::string(kUsage).find(
-                "vdbtool index-query <store-dir> <video> <shot> [k] "
-                "[--bloom]"),
+                "vdbtool index-query <store-dir> <video> <shot> [k]\n"),
             std::string::npos);
 }
 

@@ -20,11 +20,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/kernels/simd.h"
+#include "farm/committer.h"
 #include "farm/farm.h"
 #include "stream/frame_source.h"
 #include "stream/pipeline.h"
@@ -278,7 +280,7 @@ struct FarmCliOptions {
 
 int RunFarm(const FarmCliOptions& cli, const std::string& preset,
             double scale, unsigned seed, const stream::PipelineOptions& popts,
-            bool resume, bool json) {
+            const farm::CommitterOptions& commit, bool resume, bool json) {
   std::vector<std::string> presets = cli.preset_mix;
   if (presets.empty()) {
     if (preset.empty()) {
@@ -324,8 +326,8 @@ int RunFarm(const FarmCliOptions& cli, const std::string& preset,
   fopts.checkpoint_every_media_seconds =
       popts.checkpoint_every_media_seconds;
   fopts.publish_dir = popts.publish_dir;
-  fopts.reload_host = popts.reload_host;
-  fopts.reload_port = popts.reload_port;
+  fopts.reload_host = commit.reload_host;
+  fopts.reload_port = commit.reload_port;
   fopts.shed_after_seconds = cli.shed_after;
 
   farm::StreamFarm farm(fopts);
@@ -354,6 +356,7 @@ int Run(int argc, char** argv) {
   bool farm_mode = false;
   FarmCliOptions farm_cli;
   stream::PipelineOptions options;
+  farm::CommitterOptions commit;  // --reload lands here
 
   auto next_value = [&](size_t* i) -> const std::string* {
     if (*i + 1 >= args.size()) return nullptr;
@@ -390,8 +393,8 @@ int Run(int argc, char** argv) {
         std::cerr << "vdbstream: --reload wants HOST:PORT\n";
         return Usage();
       }
-      options.reload_host = v->substr(0, colon);
-      options.reload_port = std::atoi(v->c_str() + colon + 1);
+      commit.reload_host = v->substr(0, colon);
+      commit.reload_port = std::atoi(v->c_str() + colon + 1);
     } else if (arg == "--streams" && (v = next_value(&i))) {
       farm_cli.streams = std::atoi(v->c_str());
       farm_mode = true;
@@ -425,7 +428,7 @@ int Run(int argc, char** argv) {
       return Usage();
     }
     return RunFarm(farm_cli, preset, scale > 0 ? scale : 0.1, seed, options,
-                   resume, json);
+                   commit, resume, json);
   }
 
   if (file.empty() == preset.empty()) {
@@ -443,6 +446,18 @@ int Run(int argc, char** argv) {
     Result<Video> video = PresetVideo(preset, scale > 0 ? scale : 0.1, seed);
     if (!video.ok()) return Fail(video.status());
     source = stream::MakeVideoFrameSource(std::move(*video));
+  }
+
+  // A solo run publishes through the same Committer a farm's tenants share.
+  std::optional<farm::Committer> committer;
+  if (!options.publish_dir.empty()) {
+    commit.database = options.database;
+    commit.dir = options.publish_dir;
+    committer.emplace(commit);
+    committer->Init();
+    options.publish = [&committer](const CatalogEntry& entry) {
+      return committer->Publish(entry);
+    };
   }
 
   stream::Pipeline pipeline(options);

@@ -16,7 +16,7 @@
 //                                            checkpoint publishes
 //   vdbtool index-build <store-dir>          build + publish the frame index
 //                                            of the store's newest generation
-//   vdbtool index-query <store-dir> <video> <shot> [k] [--bloom]
+//   vdbtool index-query <store-dir> <video> <shot> [k]
 //                                            query-by-frame against the
 //                                            store's frame index
 //   vdbtool tree <clip.vdb>                  print the scene tree
@@ -47,6 +47,7 @@
 #include "core/kernels/simd.h"
 #include "core/motion.h"
 #include "core/video_database.h"
+#include "farm/committer.h"
 #include "store/catalog_store.h"
 #include "stream/frame_source.h"
 #include "stream/pipeline.h"
@@ -75,7 +76,7 @@ int Usage() {
       "  vdbtool stream-ingest <clip.vdb> <store-dir> "
       "[shots-per-checkpoint]\n"
       "  vdbtool index-build <store-dir>\n"
-      "  vdbtool index-query <store-dir> <video> <shot> [k] [--bloom]\n"
+      "  vdbtool index-query <store-dir> <video> <shot> [k]\n"
       "  vdbtool tree <clip.vdb>\n"
       "  vdbtool query <catalog.vdbcat> <varBA> <varOA> [k] [genre=G] "
       "[form=F]\n"
@@ -252,9 +253,16 @@ int CmdStreamIngest(const std::string& path, const std::string& dir,
   Result<std::unique_ptr<stream::FrameSource>> source =
       stream::OpenVideoFileSource(path);
   if (!source.ok()) return Fail(source.status());
+  farm::CommitterOptions commit;
+  commit.dir = dir;
+  farm::Committer committer(commit);
+  committer.Init();
   stream::PipelineOptions options;
   options.publish_dir = dir;
   options.checkpoint_every_shots = shots_per_checkpoint;
+  options.publish = [&committer](const CatalogEntry& entry) {
+    return committer.Publish(entry);
+  };
   stream::Pipeline pipeline(options);
   Result<stream::PipelineResult> result = pipeline.Run(source->get());
   if (!result.ok()) return Fail(result.status());
@@ -279,13 +287,12 @@ int CmdIndexBuild(const std::string& dir) {
   std::cout << "published frame index for generation " << stats.generation
             << ": " << frame_index.video_count() << " videos, "
             << frame_index.shot_count() << " shots, "
-            << frame_index.posting_count() << " postings, "
-            << frame_index.bloom_bytes() << " bloom bytes\n";
+            << frame_index.posting_count() << " postings\n";
   return 0;
 }
 
 int CmdIndexQuery(const std::string& dir, int video_id, int shot_index,
-                  int k, bool bloom) {
+                  int k) {
   store::CatalogStore catalog_store(dir);
   store::OpenStats stats;
   Result<std::unique_ptr<VideoDatabase>> db = catalog_store.Open(&stats);
@@ -311,12 +318,10 @@ int CmdIndexQuery(const std::string& dir, int video_id, int shot_index,
       index::SignatureTokenSet(query, frame_index.options().tokenizer);
   index::FrameQueryStats query_stats;
   std::vector<index::FrameHit> hits =
-      bloom ? frame_index.QueryBloom(tokens, k, &query_stats)
-            : frame_index.Query(tokens, k, &query_stats);
+      frame_index.Query(tokens, k, &query_stats);
   std::cout << "queried shot#" << shot_index + 1 << " of [" << video_id
             << "] " << (*entry)->name << " against the "
-            << (bloom ? "bloom" : "inverted") << " tier ("
-            << (from_store ? "persisted" : "rebuilt") << " index): "
+            << (from_store ? "persisted" : "rebuilt") << " index: "
             << query_stats.query_tokens << " tokens, "
             << query_stats.candidates << " candidates, "
             << query_stats.probed << " probed\n";
@@ -324,14 +329,9 @@ int CmdIndexQuery(const std::string& dir, int video_id, int shot_index,
     std::string name;
     Result<const CatalogEntry*> hit_entry = (*db)->GetEntry(hit.video_id);
     if (hit_entry.ok()) name = (*hit_entry)->name;
-    if (hit.shot_index >= 0) {
-      std::cout << StrFormat("  score=%.4f  shot#%-3d of [%d] %s\n",
-                             hit.score, hit.shot_index + 1, hit.video_id,
-                             name.c_str());
-    } else {
-      std::cout << StrFormat("  score=%.4f  [%d] %s (video-level)\n",
-                             hit.score, hit.video_id, name.c_str());
-    }
+    std::cout << StrFormat("  score=%.4f  shot#%-3d of [%d] %s\n",
+                           hit.score, hit.shot_index + 1, hit.video_id,
+                           name.c_str());
   }
   return 0;
 }
@@ -543,19 +543,10 @@ int Run(int argc, char** argv) {
   if (cmd == "index-build" && args.size() == 2) {
     return CmdIndexBuild(args[1]);
   }
-  if (cmd == "index-query" && args.size() >= 4 && args.size() <= 6) {
-    int k = 5;
-    bool bloom = false;
-    for (size_t i = 4; i < args.size(); ++i) {
-      if (args[i] == "--bloom") {
-        bloom = true;
-      } else {
-        int parsed = std::atoi(args[i].c_str());
-        if (parsed > 0) k = parsed;
-      }
-    }
+  if (cmd == "index-query" && (args.size() == 4 || args.size() == 5)) {
+    int k = args.size() == 5 ? std::atoi(args[4].c_str()) : 0;
     return CmdIndexQuery(args[1], std::atoi(args[2].c_str()),
-                         std::atoi(args[3].c_str()), k, bloom);
+                         std::atoi(args[3].c_str()), k > 0 ? k : 5);
   }
   if (cmd == "tree" && args.size() == 2) return CmdTree(args[1]);
   if (cmd == "query" && args.size() >= 4) {
