@@ -6,7 +6,8 @@
 # healthy, then again with one backend SIGKILLed mid-cluster — so the
 # trajectory records both the scaling curve and the degraded-mode cost.
 # Writes BENCH_cluster.json (per-configuration QPS + p50/p99 + the
-# router's per-shard latency lanes) at the repo root.
+# router's per-shard latency lanes, with the CPU count and build type) at
+# the repo root.
 #
 #   scripts/bench_cluster.sh
 #
@@ -29,6 +30,7 @@ OUT=BENCH_cluster.json
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build -j "$JOBS" \
   --target vdbtool vdbserve vdbrouter vdbload > /dev/null
+build_type="$(grep -E '^CMAKE_BUILD_TYPE:' build/CMakeCache.txt | cut -d= -f2)"
 mkdir -p "$WORK"
 
 # The Table-5 clip names, parsed from `vdbtool presets` so the list can
@@ -143,6 +145,8 @@ done
 {
   echo '{'
   echo '  "bench": "cluster",'
+  echo "  \"num_cpus\": $(nproc),"
+  echo "  \"vdb_build_type\": \"$build_type\","
   echo "  \"scale\": $SCALE,"
   echo "  \"client_threads\": $THREADS,"
   echo "  \"requests_per_thread\": $REQUESTS,"

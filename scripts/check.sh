@@ -11,6 +11,7 @@
 #   scripts/check.sh cluster    # cluster suites under ASan then TSan
 #   scripts/check.sh index      # frame-index suites under ASan then TSan
 #   scripts/check.sh farm       # ingest-farm suites under ASan then TSan
+#   scripts/check.sh stress     # cluster/serve suites x20 under CPU hogs
 #
 # Build trees: build/ (plain), build-asan/, build-tsan/ — reused across
 # runs, so incremental checks are cheap. JOBS overrides the parallelism.
@@ -77,8 +78,9 @@ for stage in "${STAGES[@]}"; do
     cluster)
       # The sharded-cluster battery on its own: the router merge property,
       # degraded mode, replica failover, and the kill-a-backend chaos test
-      # under ASan (wire merging, id translation) and TSan (connection
-      # pools, hedge threads, span swaps, per-shard metrics lanes).
+      # under ASan (wire merging, id translation, the send-then-gather
+      # loop's leg bookkeeping) and TSan (connection pools shared by
+      # concurrent fan-outs, span swaps, per-shard metrics lanes).
       banner "cluster leg: asan build + cluster suites"
       configure_and_build build-asan address
       ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L cluster
@@ -114,6 +116,27 @@ for stage in "${STAGES[@]}"; do
       configure_and_build build-tsan thread
       ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L farm
       ;;
+    stress)
+      # The plain build's cluster and serve suites, each test rerun until
+      # it fails (at most 20 times) while `nproc` busy-loop shells hog
+      # every core: deadline-driven code (hedges, read timeouts, shedding)
+      # shows its timing flakes here rather than on a loaded CI host. The
+      # farm and stream labels join this leg once ROADMAP item 2's
+      # FarmFairnessTest flake is resolved.
+      banner "stress leg: plain build + cluster|serve suites x20 under $(nproc) CPU hogs"
+      configure_and_build build ""
+      hogs=()
+      trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
+      for _ in $(seq 1 "$(nproc)"); do
+        while :; do :; done &
+        hogs+=($!)
+      done
+      ctest --test-dir build --output-on-failure -j "$(nproc)" \
+        -L 'cluster|serve' --repeat until-fail:20
+      kill "${hogs[@]}"
+      wait "${hogs[@]}" 2>/dev/null || true
+      trap - EXIT
+      ;;
     kernels)
       # Fast smoke: just the kernel-equivalence suite on the plain build.
       banner "kernel-equivalence smoke (ctest -L kernels)"
@@ -140,7 +163,7 @@ for stage in "${STAGES[@]}"; do
       done
       ;;
     *)
-      echo "check.sh: unknown stage '$stage' (want plain, asan, tsan, serve, cluster, index, farm, kernels, simd)" >&2
+      echo "check.sh: unknown stage '$stage' (want plain, asan, tsan, serve, cluster, index, farm, stress, kernels, simd)" >&2
       exit 2
       ;;
   esac

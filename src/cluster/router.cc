@@ -1,8 +1,11 @@
 #include "cluster/router.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <chrono>
-#include <thread>
+#include <climits>
+#include <optional>
 #include <utility>
 
 #include "util/stopwatch.h"
@@ -22,9 +25,9 @@ constexpr int kMaxTopK = 1 << 16;
 
 serve::ServerOptions RouterFrontendOptions(serve::ServerOptions options,
                                            int shard_count) {
-  // Every routed verb blocks on backend sockets, so dispatch must always
-  // run on the offload executor — and wide enough that one slow shard
-  // cannot starve unrelated client requests.
+  // Every routed verb blocks its dispatching thread in a fan-out, so
+  // dispatch must always run on the offload executor — and wide enough
+  // that one slow shard cannot starve unrelated client requests.
   options.offload_threads =
       std::max({options.offload_threads, 2 * shard_count, 4});
   options.shard_id = -1;
@@ -32,43 +35,251 @@ serve::ServerOptions RouterFrontendOptions(serve::ServerOptions options,
   return options;
 }
 
-// The result slot a hedged primary call fills from its detached thread.
-struct HedgeState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Result<Response> result = Status::Internal("hedge pending");
-};
-
-bool ResponseOk(const Result<Response>& result) {
-  return result.ok() && result->status.ok();
-}
-
-}  // namespace
-
-void Router::InflightGate::Enter() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++inflight_;
-}
-
-void Router::InflightGate::Exit() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
-  }
-  cv_.notify_all();
-}
-
-void Router::InflightGate::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
-int64_t Router::NowMs() {
+int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// A backend call's outcome: the transport failure, or the backend's own
+// status.
+Status AnswerStatus(const Result<Response>& result) {
+  return result.ok() ? result->status : result.status();
+}
+
+// The shared half of every scatter-gather verb: calls merge(i, answer) for
+// each shard that answered OK, in shard order. When none did, sets an error
+// status "no shard <what>: <first failure>" on `response` and returns false;
+// otherwise fills the health fields and returns true.
+template <typename Merge>
+bool MergeAnswers(const std::vector<Result<Response>>& results,
+                  const char* what, Response* response, Merge merge) {
+  uint32_t shards_ok = 0;
+  Status first_failure;
+  for (size_t i = 0; i < results.size(); ++i) {
+    Status status = AnswerStatus(results[i]);
+    if (!status.ok()) {
+      if (first_failure.ok()) {
+        first_failure = status;
+      }
+      continue;
+    }
+    ++shards_ok;
+    merge(i, *results[i]);
+  }
+  if (shards_ok == 0) {
+    response->status = Status(
+        first_failure.ok() ? StatusCode::kIoError : first_failure.code(),
+        StrFormat("no shard %s: ", what) +
+            std::string(first_failure.message()));
+    return false;
+  }
+  response->shards_ok = shards_ok;
+  response->shards_total = static_cast<uint32_t>(results.size());
+  return true;
+}
+
+}  // namespace
+
+// One send-then-gather round: send to (or start dialing) every target's
+// first endpoint, then poll() all pending sockets at once, with the hedge
+// and each leg's connect or read timeout as deadlines. Target t has two
+// legs: legs[2t] on its first endpoint, legs[2t + 1] on its second (only
+// on failover or hedge). A target is done at its first answer — the other
+// leg's connection is closed, as its answer may still be on the wire — or
+// once both legs have failed.
+struct Router::Round {
+  struct Leg {
+    enum State { kIdle, kDialing, kAwaiting, kOver } state = kIdle;
+    Endpoint* endpoint = nullptr;
+    std::optional<serve::Client> client;  // empty = not connected
+    int retries = 0;
+    int64_t due_ms = 0;  // kDialing, kAwaiting: the connect or read deadline
+  };
+
+  Router& router;
+  const Request& request;
+  const std::vector<Target>& targets;
+  std::vector<Result<Response>> results = std::vector<Result<Response>>(
+      targets.size(), Result<Response>(Status::Internal("fan-out pending")));
+  std::vector<Leg> legs = std::vector<Leg>(2 * targets.size());
+  size_t pending = targets.size();
+  Stopwatch timer{};
+
+  std::vector<Result<Response>> Run() {
+    for (size_t t = 0; t < targets.size(); ++t) {
+      legs[2 * t].endpoint = targets[t].first;
+      legs[2 * t + 1].endpoint = targets[t].second;
+      Launch(2 * t);
+    }
+    const int64_t hedge_at = NowMs() + router.options_.hedge_after_ms;
+    std::vector<pollfd> fds;  // fds[i] watches legs[i]; poll skips fd -1
+    while (pending > 0) {
+      fds.assign(legs.size(), pollfd{-1, 0, 0});
+      int64_t wake = NowMs() < hedge_at ? hedge_at : INT64_MAX;
+      for (size_t i = 0; i < legs.size(); ++i) {
+        if (Busy(i)) {
+          fds[i].fd = legs[i].client->fd();
+          fds[i].events = legs[i].state == Leg::kDialing ? POLLOUT : POLLIN;
+          wake = std::min(wake, legs[i].due_ms);
+        }
+      }
+      // A failed poll (EINTR) leaves every revents 0; the deadlines still
+      // bound the round.
+      ::poll(fds.data(), fds.size(),
+             static_cast<int>(std::clamp<int64_t>(wake - NowMs(), 0, INT_MAX)));
+      int64_t now = NowMs();
+      for (size_t i = 0; i < legs.size(); ++i) {
+        // Skip legs an earlier event in this sweep closed or started.
+        if (fds[i].fd < 0 || !Busy(i)) {
+          continue;
+        }
+        bool dialing = legs[i].state == Leg::kDialing;
+        if (fds[i].revents != 0) {
+          dialing ? Send(i) : Receive(i);
+        } else if (legs[i].due_ms <= now) {
+          dialing ? GiveUp(i, Status::IoError("backend connect timed out"))
+                  : Failed(i, Status::IoError("backend read timed out"));
+        }
+      }
+      for (size_t t = 0; now >= hedge_at && t < targets.size(); ++t) {
+        if (targets[t].hedge && legs[2 * t + 1].state == Leg::kIdle) {
+          Launch(2 * t + 1);
+        }
+      }
+    }
+    return std::move(results);
+  }
+
+  // Whether leg i is waiting on its socket: for a dial or for an answer.
+  bool Busy(size_t i) const {
+    return legs[i].state == Leg::kDialing || legs[i].state == Leg::kAwaiting;
+  }
+
+  static int64_t Deadline(int timeout_ms) {
+    return NowMs() + (timeout_ms > 0 ? timeout_ms : INT_MAX);
+  }
+
+  // Starts leg i, on an idle pooled connection if there is one.
+  void Launch(size_t i) {
+    Endpoint& endpoint = *legs[i].endpoint;
+    std::unique_lock<std::mutex> lock(endpoint.mu);
+    if (!endpoint.idle.empty()) {
+      legs[i].client.emplace(std::move(endpoint.idle.back()));
+      endpoint.idle.pop_back();
+    }
+    lock.unlock();
+    Send(i);
+  }
+
+  // Sends on leg i's connection, or dials one and comes back here once it
+  // polls writable. A failed dial gives up at once: redialing would repeat
+  // it.
+  void Send(size_t i) {
+    Leg& leg = legs[i];
+    if (!leg.client) {
+      Result<serve::Client> dialed = serve::Client::Dial(
+          leg.endpoint->addr.host, leg.endpoint->addr.port,
+          router.options_.backend);
+      if (!dialed.ok()) {
+        GiveUp(i, dialed.status());
+        return;
+      }
+      leg.client.emplace(std::move(*dialed));
+      leg.state = Leg::kDialing;
+      leg.due_ms = Deadline(router.options_.backend.connect_timeout_ms);
+      return;
+    }
+    if (leg.state == Leg::kDialing) {
+      Status connected = leg.client->FinishDial();
+      if (!connected.ok()) {
+        GiveUp(i, connected);
+        return;
+      }
+    }
+    Status sent = leg.client->Send(request);
+    if (!sent.ok()) {
+      Failed(i, sent);
+      return;
+    }
+    leg.state = Leg::kAwaiting;
+    leg.due_ms = Deadline(router.options_.backend.read_timeout_ms);
+  }
+
+  // Reads what has arrived of leg i's answer, pooling the connection once
+  // it is whole.
+  void Receive(size_t i) {
+    Leg& leg = legs[i];
+    Result<std::optional<Response>> answer =
+        leg.client->ReceiveSome(request.verb);
+    if (!answer.ok()) {
+      Failed(i, answer.status());
+      return;
+    }
+    if (!answer->has_value()) {
+      return;
+    }
+    Endpoint& endpoint = *leg.endpoint;
+    endpoint.down_until_ms.store(0, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(endpoint.mu);
+      if (static_cast<int>(endpoint.idle.size()) <
+          router.options_.max_pooled_connections) {
+        endpoint.idle.push_back(std::move(*leg.client));
+      }
+    }
+    // A hedge won while the primary is silent: give the primary up too, so
+    // a hung one costs a hedge delay per cooldown, not one per read.
+    if (i % 2 == 1 && Busy(i - 1)) {
+      GiveUp(i - 1, Status::IoError("hedge answered first"));
+    }
+    Finish(i / 2, std::move(**answer));
+  }
+
+  // A transport failure on leg i: the client's reconnect retry first, on a
+  // fresh connection; then the leg gives up.
+  void Failed(size_t i, const Status& failure) {
+    Leg& leg = legs[i];
+    leg.client.reset();
+    if (serve::RetryableTransportError(failure) &&
+        leg.retries++ < router.options_.backend.max_retries) {
+      Send(i);
+      return;
+    }
+    GiveUp(i, failure);
+  }
+
+  // The endpoint is down: reads skip it for down_cooldown_ms. Fail over to
+  // the target's second endpoint; the target fails once neither leg is
+  // pending.
+  void GiveUp(size_t i, const Status& failure) {
+    legs[i].endpoint->down_until_ms.store(
+        NowMs() + router.options_.down_cooldown_ms, std::memory_order_relaxed);
+    legs[i].client.reset();
+    legs[i].state = Leg::kOver;
+    size_t t = i / 2;
+    if (legs[2 * t + 1].state == Leg::kIdle &&
+        legs[2 * t + 1].endpoint != nullptr) {
+      Launch(2 * t + 1);
+    } else if (!Busy(i ^ 1)) {
+      Finish(t, failure);
+    }
+  }
+
+  void Finish(size_t t, Result<Response> result) {
+    if (targets[t].lane >= 0) {
+      router.shard_metrics_.OnRequest(request.verb, AnswerStatus(result).ok(),
+                                      timer.ElapsedSeconds() * 1e6,
+                                      targets[t].lane);
+    }
+    results[t] = std::move(result);
+    for (size_t i : {2 * t, 2 * t + 1}) {
+      legs[i].client.reset();
+      legs[i].state = Leg::kOver;
+    }
+    --pending;
+  }
+};
 
 Router::Router(RouterOptions options, std::vector<ShardBackends> shards)
     : options_(std::move(options)),
@@ -92,8 +303,6 @@ Router::Router(RouterOptions options, std::vector<ShardBackends> shards)
   options_.backend.max_retries = std::max(1, options_.backend.max_retries);
 }
 
-Router::~Router() { Stop(); }
-
 Status Router::Start() {
   if (shards_.empty()) {
     return Status::InvalidArgument("router needs at least one shard");
@@ -106,140 +315,30 @@ Status Router::Start() {
   return frontend_.Start();
 }
 
-void Router::Stop() {
-  stopping_.store(true, std::memory_order_release);
-  frontend_.Stop();
-  // Abandoned hedge primaries may still be running; they touch shard state
-  // owned by this object, so wait them out before destruction.
-  hedges_->WaitIdle();
-}
-
 std::shared_ptr<const std::vector<Router::ShardSpan>> Router::spans() const {
   std::lock_guard<std::mutex> lock(spans_mu_);
   return spans_;
 }
 
-Result<Response> Router::CallEndpoint(Endpoint& endpoint,
-                                      const Request& request) {
-  serve::ClientOptions client_options = options_.backend;
-  Result<serve::Client> client = [&]() -> Result<serve::Client> {
-    {
-      std::lock_guard<std::mutex> lock(endpoint.mu);
-      if (!endpoint.idle.empty()) {
-        serve::Client pooled = std::move(endpoint.idle.back());
-        endpoint.idle.pop_back();
-        return pooled;
-      }
-    }
-    return serve::Client::Connect(endpoint.addr.host, endpoint.addr.port,
-                                  client_options);
-  }();
-  if (!client.ok()) {
-    endpoint.down_until_ms.store(NowMs() + options_.down_cooldown_ms,
-                                 std::memory_order_relaxed);
-    return client.status();
-  }
-  Result<Response> response = client->Call(request);
-  if (!response.ok()) {
-    // Transport failure with the client's own reconnect retries already
-    // exhausted: the backend is down or unreachable. Cool it down so reads
-    // go straight to the replica for a while.
-    endpoint.down_until_ms.store(NowMs() + options_.down_cooldown_ms,
-                                 std::memory_order_relaxed);
-    return response;
-  }
-  endpoint.down_until_ms.store(0, std::memory_order_relaxed);
-  if (client->connected()) {
-    std::lock_guard<std::mutex> lock(endpoint.mu);
-    if (static_cast<int>(endpoint.idle.size()) <
-        options_.max_pooled_connections) {
-      endpoint.idle.push_back(std::move(*client));
-    }
-  }
-  return response;
-}
-
-Result<Response> Router::CallShard(int shard, const Request& request) {
+Router::Target Router::ReadTarget(int shard) {
   Shard& s = *shards_[static_cast<size_t>(shard)];
-  Stopwatch timer;
-  Result<Response> result = [&]() -> Result<Response> {
-    if (s.replica.addr.port < 0) {
-      return CallEndpoint(s.primary, request);
-    }
-    if (s.primary.down_until_ms.load(std::memory_order_relaxed) > NowMs()) {
-      // Primary cooling down after a failure: replica first, primary only
-      // as the last resort (it may have just come back).
-      Result<Response> from_replica = CallEndpoint(s.replica, request);
-      if (from_replica.ok()) {
-        return from_replica;
-      }
-      return CallEndpoint(s.primary, request);
-    }
-    if (options_.hedge_after_ms <= 0) {
-      Result<Response> from_primary = CallEndpoint(s.primary, request);
-      if (from_primary.ok()) {
-        return from_primary;
-      }
-      return CallEndpoint(s.replica, request);
-    }
-    // Hedged read: the primary runs on its own thread; if it has not
-    // answered within hedge_after_ms the replica is asked too, and the
-    // first usable answer wins. The detached thread holds the inflight
-    // gate so Stop() can wait out an abandoned primary call.
-    auto state = std::make_shared<HedgeState>();
-    std::shared_ptr<InflightGate> gate = hedges_;
-    gate->Enter();
-    std::thread([this, &s, request, state, gate] {
-      Result<Response> from_primary = CallEndpoint(s.primary, request);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->result = std::move(from_primary);
-        state->done = true;
-      }
-      state->cv.notify_all();
-      gate->Exit();
-    }).detach();
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->cv.wait_for(lock,
-                             std::chrono::milliseconds(
-                                 options_.hedge_after_ms),
-                             [&] { return state->done; })) {
-        if (state->result.ok()) {
-          return std::move(state->result);
-        }
-        lock.unlock();
-        return CallEndpoint(s.replica, request);
-      }
-    }
-    Result<Response> from_replica = CallEndpoint(s.replica, request);
-    if (from_replica.ok()) {
-      return from_replica;
-    }
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->done; });
-    return std::move(state->result);
-  }();
-  shard_metrics_.OnRequest(request.verb, ResponseOk(result),
-                           timer.ElapsedSeconds() * 1e6, shard);
-  return result;
+  if (s.replica.addr.port < 0) {
+    return {&s.primary, nullptr, false, shard};
+  }
+  if (!s.primary.up(NowMs())) {
+    // Primary cooling down after a failure: replica first, primary only
+    // as the last resort (it may have just come back).
+    return {&s.replica, &s.primary, false, shard};
+  }
+  return {&s.primary, &s.replica, options_.hedge_after_ms > 0, shard};
 }
 
 std::vector<Result<Response>> Router::FanOut(const Request& request) {
-  std::vector<Result<Response>> results(
-      shards_.size(),
-      Result<Response>(Status::Internal("fan-out pending")));
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, &request, &results] {
-      results[i] = CallShard(static_cast<int>(i), request);
-    });
+  std::vector<Target> targets;
+  for (int i = 0; i < shard_count(); ++i) {
+    targets.push_back(ReadTarget(i));
   }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  return results;
+  return Round{*this, request, targets}.Run();
 }
 
 Status Router::RefreshSpans(bool require_all) {
@@ -251,11 +350,10 @@ Status Router::RefreshSpans(bool require_all) {
   int base = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     int count = 0;
-    if (ResponseOk(results[i])) {
+    Status failure = AnswerStatus(results[i]);
+    if (failure.ok()) {
       count = static_cast<int>(results[i]->list.videos.size());
     } else if (require_all) {
-      Status failure = results[i].ok() ? results[i]->status
-                                       : results[i].status();
       return Status(failure.code(),
                     StrFormat("shard %d unreachable: %s",
                               static_cast<int>(i),
@@ -306,14 +404,7 @@ Response Router::HandlePing(const Request& request) const {
   int64_t now = NowMs();
   uint32_t ok = 0;
   for (const auto& shard : shards_) {
-    bool primary_up =
-        shard->primary.down_until_ms.load(std::memory_order_relaxed) <= now;
-    bool replica_up =
-        shard->replica.addr.port >= 0 &&
-        shard->replica.down_until_ms.load(std::memory_order_relaxed) <= now;
-    if (primary_up || replica_up) {
-      ++ok;
-    }
+    ok += shard->primary.up(now) || shard->replica.up(now) ? 1 : 0;
   }
   response.shards_ok = ok;
   response.shards_total = static_cast<uint32_t>(shards_.size());
@@ -355,7 +446,7 @@ Response Router::HandleQuery(const serve::QueryRequest& request) {
     in_band = 0;
     eligible = 0;
     for (const Result<Response>& r : results) {
-      if (ResponseOk(r)) {
+      if (AnswerStatus(r).ok()) {
         in_band += r->query.in_band;
         eligible += r->query.eligible;
       }
@@ -370,28 +461,13 @@ Response Router::HandleQuery(const serve::QueryRequest& request) {
 
   std::shared_ptr<const std::vector<ShardSpan>> layout = spans();
   std::vector<serve::SuggestionWire> merged;
-  uint32_t shards_ok = 0;
-  Status first_failure;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result<Response>& r = results[i];
-    if (!ResponseOk(r)) {
-      if (first_failure.ok()) {
-        first_failure = r.ok() ? r->status : r.status();
-      }
-      continue;
-    }
-    ++shards_ok;
-    for (const serve::SuggestionWire& s : r->query.suggestions) {
-      serve::SuggestionWire global = s;
-      global.video_id += (*layout)[i].base;
-      merged.push_back(std::move(global));
-    }
-  }
-  if (shards_ok == 0) {
-    response.status = Status(first_failure.ok() ? StatusCode::kIoError
-                                                : first_failure.code(),
-                             "no shard answered the query: " +
-                                 std::string(first_failure.message()));
+  if (!MergeAnswers(results, "answered the query", &response,
+                    [&](size_t i, const Response& r) {
+                      for (serve::SuggestionWire global : r.query.suggestions) {
+                        global.video_id += (*layout)[i].base;
+                        merged.push_back(std::move(global));
+                      }
+                    })) {
     return response;
   }
   // The single-node tie-break, on global ids: each shard's hits are its k
@@ -403,16 +479,12 @@ Response Router::HandleQuery(const serve::QueryRequest& request) {
               if (a.video_id != b.video_id) return a.video_id < b.video_id;
               return a.shot_index < b.shot_index;
             });
-  if (merged.size() > static_cast<size_t>(request.top_k)) {
-    merged.resize(static_cast<size_t>(request.top_k));
-  }
+  merged.resize(std::min(merged.size(), static_cast<size_t>(request.top_k)));
   response.query.suggestions = std::move(merged);
   if (request.exact_band) {
     response.query.in_band = in_band;
     response.query.eligible = eligible;
   }
-  response.shards_ok = shards_ok;
-  response.shards_total = static_cast<uint32_t>(shards_.size());
   return response;
 }
 
@@ -439,34 +511,21 @@ Response Router::HandleQueryFrame(const serve::QueryFrameRequest& request) {
   std::vector<Result<Response>> results = FanOut(probe);
   std::shared_ptr<const std::vector<ShardSpan>> layout = spans();
   std::vector<serve::FrameHitWire> merged;
-  uint32_t shards_ok = 0;
-  Status first_failure;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result<Response>& r = results[i];
-    if (!ResponseOk(r)) {
-      if (first_failure.ok()) {
-        first_failure = r.ok() ? r->status : r.status();
-      }
-      continue;
-    }
-    ++shards_ok;
-    // query_tokens is a property of the query, identical on every shard;
-    // candidates/probed sum because the shards partition the posting lists,
-    // reproducing the counts one server with the merged catalog reports.
-    response.query_frame.query_tokens = r->query_frame.query_tokens;
-    response.query_frame.candidates += r->query_frame.candidates;
-    response.query_frame.probed += r->query_frame.probed;
-    for (const serve::FrameHitWire& hit : r->query_frame.hits) {
-      serve::FrameHitWire global = hit;
-      global.video_id += (*layout)[i].base;
-      merged.push_back(std::move(global));
-    }
-  }
-  if (shards_ok == 0) {
-    response.status = Status(first_failure.ok() ? StatusCode::kIoError
-                                                : first_failure.code(),
-                             "no shard answered the frame query: " +
-                                 std::string(first_failure.message()));
+  if (!MergeAnswers(
+          results, "answered the frame query", &response,
+          [&](size_t i, const Response& r) {
+            // query_tokens is a property of the query, identical on every
+            // shard; candidates/probed sum because the shards partition the
+            // posting lists, reproducing the counts one server with the
+            // merged catalog reports.
+            response.query_frame.query_tokens = r.query_frame.query_tokens;
+            response.query_frame.candidates += r.query_frame.candidates;
+            response.query_frame.probed += r.query_frame.probed;
+            for (serve::FrameHitWire global : r.query_frame.hits) {
+              global.video_id += (*layout)[i].base;
+              merged.push_back(std::move(global));
+            }
+          })) {
     return response;
   }
   // The single-node tie-break on global ids (score desc, video, shot) — a
@@ -478,12 +537,8 @@ Response Router::HandleQueryFrame(const serve::QueryFrameRequest& request) {
               if (a.video_id != b.video_id) return a.video_id < b.video_id;
               return a.shot_index < b.shot_index;
             });
-  if (merged.size() > static_cast<size_t>(request.top_k)) {
-    merged.resize(static_cast<size_t>(request.top_k));
-  }
+  merged.resize(std::min(merged.size(), static_cast<size_t>(request.top_k)));
   response.query_frame.hits = std::move(merged);
-  response.shards_ok = shards_ok;
-  response.shards_total = static_cast<uint32_t>(shards_.size());
   return response;
 }
 
@@ -512,7 +567,7 @@ Response Router::HandleTree(const serve::TreeRequest& request) {
   routed.tree = request;
   routed.tree.video_id =
       request.video_id - (*layout)[static_cast<size_t>(shard)].base;
-  Result<Response> r = CallShard(shard, routed);
+  Result<Response> r = Round{*this, routed, {ReadTarget(shard)}}.Run()[0];
   if (!r.ok()) {
     response.status = r.status();
     return response;
@@ -532,32 +587,13 @@ Response Router::HandleList() {
   list.verb = Verb::kList;
   std::vector<Result<Response>> results = FanOut(list);
   std::shared_ptr<const std::vector<ShardSpan>> layout = spans();
-  uint32_t shards_ok = 0;
-  Status first_failure;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result<Response>& r = results[i];
-    if (!ResponseOk(r)) {
-      if (first_failure.ok()) {
-        first_failure = r.ok() ? r->status : r.status();
-      }
-      continue;
-    }
-    ++shards_ok;
-    for (const serve::VideoSummary& v : r->list.videos) {
-      serve::VideoSummary global = v;
-      global.video_id += (*layout)[i].base;
-      response.list.videos.push_back(std::move(global));
-    }
-  }
-  if (shards_ok == 0) {
-    response.status = Status(first_failure.ok() ? StatusCode::kIoError
-                                                : first_failure.code(),
-                             "no shard answered the list: " +
-                                 std::string(first_failure.message()));
-    return response;
-  }
-  response.shards_ok = shards_ok;
-  response.shards_total = static_cast<uint32_t>(shards_.size());
+  MergeAnswers(results, "answered the list", &response,
+               [&](size_t i, const Response& r) {
+                 for (serve::VideoSummary global : r.list.videos) {
+                   global.video_id += (*layout)[i].base;
+                   response.list.videos.push_back(std::move(global));
+                 }
+               });
   return response;
 }
 
@@ -573,10 +609,9 @@ Response Router::HandleStats() {
   response.stats.shard_id = -1;
   response.stats.shard_count = static_cast<int>(shards_.size());
   uint32_t shards_ok = 0;
-  uint64_t min_generation = 0;
-  bool first_ok = true;
+  uint64_t min_generation = UINT64_MAX;
   for (const Result<Response>& r : results) {
-    if (!ResponseOk(r)) {
+    if (!AnswerStatus(r).ok()) {
       continue;
     }
     ++shards_ok;
@@ -585,12 +620,9 @@ Response Router::HandleStats() {
     response.stats.reloads_ok += r->stats.reloads_ok;
     response.stats.reload_failures += r->stats.reload_failures;
     // The cluster is only as fresh as its stalest shard.
-    if (first_ok || r->stats.store_generation < min_generation) {
-      min_generation = r->stats.store_generation;
-      first_ok = false;
-    }
+    min_generation = std::min(min_generation, r->stats.store_generation);
   }
-  response.stats.store_generation = min_generation;
+  response.stats.store_generation = shards_ok > 0 ? min_generation : 0;
   // Per-shard backend-call latency lanes, named so vdbload can report
   // per-shard tail latency from one STATS round trip.
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -612,67 +644,34 @@ Response Router::HandleReload(const std::string& path) {
   Request reload;
   reload.verb = Verb::kReload;
   reload.reload_path = path;
-  // RELOAD is a write: it goes to every backend directly — each primary
+  // RELOAD is a write: it goes to every backend at once — each primary
   // *and* each replica re-reads its shard store — with no hedging and no
   // failover (a replica standing in for its primary would hide that the
-  // primary still serves the old generation).
-  struct ShardReload {
-    Result<Response> primary = Status::Internal("pending");
-    Status replica = Status::Ok();
-  };
-  std::vector<ShardReload> results(shards_.size());
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size());
+  // primary still serves the old generation). The shard's answer is its
+  // primary's; the replicas' answers are only waited for.
+  std::vector<Target> targets(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, &reload, &results] {
-      Shard& s = *shards_[i];
-      Stopwatch timer;
-      results[i].primary = CallEndpoint(s.primary, reload);
-      if (s.replica.addr.port >= 0) {
-        Result<Response> r = CallEndpoint(s.replica, reload);
-        results[i].replica = r.ok() ? r->status : r.status();
-      }
-      shard_metrics_.OnRequest(Verb::kReload,
-                               ResponseOk(results[i].primary),
-                               timer.ElapsedSeconds() * 1e6,
-                               static_cast<int>(i));
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  uint32_t shards_ok = 0;
-  Status first_failure;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!ResponseOk(results[i].primary)) {
-      if (first_failure.ok()) {
-        first_failure = results[i].primary.ok()
-                            ? results[i].primary->status
-                            : results[i].primary.status();
-      }
-      continue;
+    targets[i] = {&shards_[i]->primary, nullptr, false, static_cast<int>(i)};
+    if (shards_[i]->replica.addr.port >= 0) {
+      targets.push_back({&shards_[i]->replica});
     }
-    ++shards_ok;
-    response.reload.videos += results[i].primary->reload.videos;
-    response.reload.indexed_shots +=
-        results[i].primary->reload.indexed_shots;
-    // A reloaded shard starts a new catalog epoch: wipe its latency lane
-    // so stale pre-reload (or outage) samples stop polluting percentiles.
-    shard_metrics_.ResetShard(static_cast<int>(i));
   }
-  if (shards_ok == 0) {
-    response.status = Status(first_failure.ok() ? StatusCode::kIoError
-                                                : first_failure.code(),
-                             "no shard completed the reload: " +
-                                 std::string(first_failure.message()));
+  std::vector<Result<Response>> results = Round{*this, reload, targets}.Run();
+  results.erase(results.begin() + shard_count(), results.end());
+  if (!MergeAnswers(results, "completed the reload", &response,
+                    [&](size_t i, const Response& r) {
+                      response.reload.videos += r.reload.videos;
+                      response.reload.indexed_shots += r.reload.indexed_shots;
+                      // A reloaded shard starts a new catalog epoch: wipe
+                      // its latency lane so stale pre-reload (or outage)
+                      // samples stop polluting percentiles.
+                      shard_metrics_.ResetShard(static_cast<int>(i));
+                    })) {
     return response;
   }
   // Membership may have changed; recompute the global id layout (shards
-  // that are down keep their old span).
-  Status refreshed = RefreshSpans(/*require_all=*/false);
-  (void)refreshed;  // down shards keep their old span; nothing to report
-  response.shards_ok = shards_ok;
-  response.shards_total = static_cast<uint32_t>(shards_.size());
+  // that are down keep their old span, so there is nothing to report).
+  (void)RefreshSpans(/*require_all=*/false);
   return response;
 }
 

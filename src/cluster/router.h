@@ -2,7 +2,6 @@
 #define VDB_CLUSTER_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -30,14 +29,12 @@ struct ShardEndpoint {
 struct ShardBackends {
   ShardEndpoint primary;
   ShardEndpoint replica;
-
-  bool has_replica() const { return replica.port >= 0; }
 };
 
 struct RouterOptions {
   // The router's own listening front end. offload_threads is raised to at
-  // least max(4, 2 x shard count) — every verb's dispatch blocks on
-  // backend sockets, so it must never run on an event loop.
+  // least max(4, 2 x shard count): every fan-out runs on the offload
+  // thread that dispatched it, never on an event loop.
   serve::ServerOptions frontend;
 
   // Per-backend connection options for the pools. max_retries is raised to
@@ -46,12 +43,14 @@ struct RouterOptions {
   serve::ClientOptions backend;
 
   // Hedged reads: if the primary has not answered after this long and the
-  // shard has a replica, the same request is issued to the replica and the
-  // first answer wins. <= 0 disables hedging (replica is failover-only).
+  // shard has a replica, the same request is also sent to the replica and
+  // the first answer wins (a poll() deadline, not a thread). <= 0 disables
+  // hedging (replica is failover-only).
   int hedge_after_ms = 50;
 
-  // After a primary's transport fails, reads go straight to the replica
-  // for this long before the primary is probed again.
+  // After a primary's transport fails, or a hedge answers while the
+  // primary is still silent, reads go straight to the replica for this
+  // long before the primary is probed again.
   int down_cooldown_ms = 1'000;
 
   // Cap on the distributed QUERY widening loop; matches the single-node
@@ -67,6 +66,12 @@ struct RouterOptions {
 // wire protocol as vdbserve, on both sides: clients connect to the router
 // exactly as they would to a single server, and the router fans out to the
 // per-shard vdbserve backends over pooled serve::Clients.
+//
+// Every fan-out is one send-then-gather loop on the thread dispatching the
+// request: send to every shard, then poll() the pending sockets together
+// and receive each answer as it arrives. Dials are nonblocking and answers
+// are read as far as they have arrived, so one hung backend never holds up
+// the others. No thread is started per request, per shard or per hedge.
 //
 // Verb semantics:
 //   QUERY  — distributed top-k. The router drives the widening loop that a
@@ -101,7 +106,7 @@ class Router {
   Router(RouterOptions options, std::vector<ShardBackends> shards);
 
   // Stops the router if it is still running.
-  ~Router();
+  ~Router() { Stop(); }
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -111,7 +116,7 @@ class Router {
   // neither a reachable primary nor a reachable replica.
   Status Start();
 
-  void Stop();
+  void Stop() { frontend_.Stop(); }
 
   // The port actually bound (meaningful after a successful Start).
   int port() const { return frontend_.port(); }
@@ -132,6 +137,12 @@ class Router {
     std::vector<serve::Client> idle;
     // steady-clock ms until which reads skip this endpoint; 0 = healthy.
     std::atomic<int64_t> down_until_ms{0};
+
+    // Present and not cooling down at steady-clock ms `now`.
+    bool up(int64_t now) const {
+      return addr.port >= 0 &&
+             down_until_ms.load(std::memory_order_relaxed) <= now;
+    }
   };
 
   struct Shard {
@@ -146,34 +157,25 @@ class Router {
     int count = 0;
   };
 
-  // Tracks detached hedge threads so Stop() can wait them out. Held via
-  // shared_ptr: each detached thread keeps its own reference, so the final
-  // Exit() — which may run after WaitIdle() has already returned and the
-  // Router is being destroyed — still notifies a live condition variable.
-  class InflightGate {
-   public:
-    void Enter();
-    void Exit();
-    void WaitIdle();
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    int inflight_ = 0;
+  // One target of a fan-out: where the request goes first, and where it
+  // goes when that endpoint's transport fails or, with `hedge`, when it has
+  // not answered by hedge_after_ms.
+  struct Target {
+    Endpoint* first = nullptr;
+    Endpoint* second = nullptr;  // nullptr = no failover
+    bool hedge = false;
+    int lane = -1;  // shard latency lane recording the answer; -1 = none
   };
 
-  static int64_t NowMs();
+  // One send-then-gather round; Round{*this, request, targets}.Run()[i]
+  // is targets[i]'s answer.
+  struct Round;
 
-  // One call on one endpoint via its pool; marks the endpoint down on
-  // transport failure, healthy on success.
-  Result<serve::Response> CallEndpoint(Endpoint& endpoint,
-                                       const serve::Request& request);
+  // The read path for one shard: primary, with the replica as hedge and
+  // failover; replica first while the primary cools down.
+  Target ReadTarget(int shard);
 
-  // The read path for one shard: primary with hedged/failover replica.
-  // Records the per-shard latency lane.
-  Result<serve::Response> CallShard(int shard, const serve::Request& request);
-
-  // CallShard on every shard concurrently.
+  // A round over every shard's ReadTarget.
   std::vector<Result<serve::Response>> FanOut(const serve::Request& request);
 
   // LISTs every shard and recomputes the id spans. `require_all` makes any
@@ -202,9 +204,6 @@ class Router {
   // backend starts a new catalog epoch, and stale outage latencies would
   // pollute the merged percentiles forever.
   serve::ServerMetrics shard_metrics_;
-
-  std::shared_ptr<InflightGate> hedges_ = std::make_shared<InflightGate>();
-  std::atomic<bool> stopping_{false};
 
   serve::FrontEnd frontend_;
 };

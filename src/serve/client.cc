@@ -6,22 +6,15 @@
 #include <utility>
 
 #include "serve/net.h"
+#include "util/string_util.h"
 
 namespace vdb {
 namespace serve {
-namespace {
-
-// Transport-level failures worth a reconnect: a dead fd (earlier poison),
-// an I/O error (ECONNRESET/EPIPE/timeout), or a torn/garbled frame. A
-// non-OK *response* never lands here — the server answered, so retrying
-// would re-run an application error.
 bool RetryableTransportError(const Status& status) {
   return status.code() == StatusCode::kFailedPrecondition ||
          status.code() == StatusCode::kIoError ||
          status.code() == StatusCode::kCorruption;
 }
-
-}  // namespace
 
 Result<Client> Client::Connect(const std::string& host, int port,
                                ClientOptions options) {
@@ -40,13 +33,36 @@ Result<Client> Client::Connect(const std::string& host, int port,
   return client;
 }
 
+Result<Client> Client::Dial(const std::string& host, int port,
+                            ClientOptions options) {
+  VDB_ASSIGN_OR_RETURN(int fd, StartConnect(host, port));
+  Client client(fd);
+  client.host_ = host;
+  client.port_ = port;
+  client.options_ = options;
+  return client;
+}
+
+Status Client::FinishDial() {
+  Status connected = FinishConnect(fd_, host_, port_);
+  if (connected.ok()) {
+    connected = ConfigureSocket(fd_, options_.read_timeout_ms,
+                                options_.write_timeout_ms);
+  }
+  if (!connected.ok()) {
+    Close();
+  }
+  return connected;
+}
+
 Client::~Client() { Close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       host_(std::move(other.host_)),
       port_(other.port_),
-      options_(other.options_) {
+      options_(other.options_),
+      parser_(std::move(other.parser_)) {
   other.fd_ = -1;
 }
 
@@ -57,6 +73,7 @@ Client& Client::operator=(Client&& other) noexcept {
     host_ = std::move(other.host_);
     port_ = other.port_;
     options_ = other.options_;
+    parser_ = std::move(other.parser_);
     other.fd_ = -1;
   }
   return *this;
@@ -65,6 +82,7 @@ Client& Client::operator=(Client&& other) noexcept {
 void Client::Close() {
   CloseFd(fd_);
   fd_ = -1;
+  parser_ = FrameParser();
 }
 
 Status Client::Send(const Request& request) {
@@ -78,34 +96,65 @@ Status Client::Send(const Request& request) {
   return written;
 }
 
-Result<Response> Client::Receive() {
+Result<std::optional<Response>> Client::ReceiveSome(Verb verb) {
   if (fd_ < 0) {
     return Status::FailedPrecondition("client is not connected");
   }
-  Result<Frame> frame = ReadFrame(fd_);
-  if (!frame.ok()) {
-    Close();
-    if (frame.status().code() == StatusCode::kNotFound) {
-      return Status::IoError("server closed the connection");
+  Frame frame;
+  Status error;
+  FrameParser::Next next = parser_.TryNext(&frame, &error);
+  if (next == FrameParser::Next::kNeedMore) {
+    char buf[64 << 10];
+    IoOutcome got = ReadSome(fd_, buf, sizeof(buf));
+    if (got.kind != IoOutcome::kProgress) {
+      // On this blocking socket "would block" means SO_RCVTIMEO expired.
+      Status failure =
+          got.kind == IoOutcome::kError ? got.status
+          : got.kind == IoOutcome::kWouldBlock
+              ? Status::IoError("read timed out")
+          : parser_.buffered_bytes() == 0
+              ? Status::IoError("server closed the connection")
+              : Status::IoError(
+                    StrFormat("connection closed mid-frame (%zu bytes in)",
+                              parser_.buffered_bytes()));
+      Close();
+      return failure;
     }
-    return frame.status();
+    parser_.Feed(std::string_view(buf, got.bytes));
+    next = parser_.TryNext(&frame, &error);
   }
-  Result<Response> response = DecodeResponse(frame->header, frame->payload);
+  if (next == FrameParser::Next::kNeedMore) {
+    return std::optional<Response>();
+  }
+  if (next == FrameParser::Next::kError) {
+    Close();
+    return error;
+  }
+  Result<Response> response = DecodeResponse(frame.header, frame.payload);
   if (!response.ok()) {
     Close();
+    return response.status();
   }
-  return response;
-}
-
-Result<Response> Client::CallOnce(const Request& request) {
-  VDB_RETURN_IF_ERROR(Send(request));
-  VDB_ASSIGN_OR_RETURN(Response response, Receive());
-  if (response.verb != request.verb && response.verb != Verb::kError) {
+  if (response->verb != verb && response->verb != Verb::kError) {
     Close();
     return Status::Corruption(
         "response verb does not match the request (stream out of sync)");
   }
-  return response;
+  return std::optional<Response>(std::move(*response));
+}
+
+Result<Response> Client::Receive(Verb verb) {
+  for (;;) {
+    VDB_ASSIGN_OR_RETURN(std::optional<Response> response, ReceiveSome(verb));
+    if (response) {
+      return std::move(*response);
+    }
+  }
+}
+
+Result<Response> Client::CallOnce(const Request& request) {
+  VDB_RETURN_IF_ERROR(Send(request));
+  return Receive(request.verb);
 }
 
 Result<Response> Client::Call(const Request& request) {
@@ -138,12 +187,7 @@ Result<std::vector<Response>> Client::CallPipelined(
   std::vector<Response> responses;
   responses.reserve(requests.size());
   for (const Request& request : requests) {
-    VDB_ASSIGN_OR_RETURN(Response response, Receive());
-    if (response.verb != request.verb && response.verb != Verb::kError) {
-      Close();
-      return Status::Corruption(
-          "response verb does not match the request (stream out of sync)");
-    }
+    VDB_ASSIGN_OR_RETURN(Response response, Receive(request.verb));
     responses.push_back(std::move(response));
   }
   return responses;

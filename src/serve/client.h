@@ -1,6 +1,7 @@
 #ifndef VDB_SERVE_CLIENT_H_
 #define VDB_SERVE_CLIENT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,12 @@ struct ClientOptions {
   int retry_backoff_ms = 10;
 };
 
+// Transport-level failures worth a reconnect: a dead fd (earlier poison),
+// an I/O error (ECONNRESET/EPIPE/timeout), or a torn/garbled frame. A
+// non-OK *response* never qualifies — the server answered, so retrying
+// would re-run an application error.
+bool RetryableTransportError(const Status& status);
+
 // Blocking client for the catalog query service: one TCP connection, one
 // outstanding request at a time. Used by the tests, vdbload, and anything
 // else that wants typed access to the server.
@@ -46,6 +53,14 @@ class Client {
   static Result<Client> Connect(const std::string& host, int port,
                                 ClientOptions options = ClientOptions());
 
+  // Connect split in two for a caller waiting on several sockets at once:
+  // Dial starts the connect and returns without waiting; once fd() polls
+  // writable, FinishDial reports whether the connect succeeded (and closes
+  // the client if not). The caller bounds the wait itself.
+  static Result<Client> Dial(const std::string& host, int port,
+                             ClientOptions options = ClientOptions());
+  Status FinishDial();
+
   ~Client();
 
   Client(Client&& other) noexcept;
@@ -53,8 +68,12 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  bool connected() const { return fd_ >= 0; }
   void Close();
+
+  // The connection's socket (-1 once closed), so a caller holding several
+  // clients can wait for whichever is ready first. Only poll it; reading or
+  // writing it directly desynchronises the stream.
+  int fd() const { return fd_; }
 
   // Sends one request frame and reads one response frame. The returned
   // Response may carry a non-OK status (an application error, or a BUSY /
@@ -62,13 +81,15 @@ class Client {
   // transport failure reconnects and retries instead of sticking poisoned.
   Result<Response> Call(const Request& request);
 
-  // Pipelining split of Call(): Send writes a request frame without waiting
-  // for anything, Receive reads the next response frame. The server answers
-  // in request order, so after N Sends the next N Receives pair up
-  // one-to-one with them. Transport failures poison the connection exactly
-  // as Call does.
+  // Call() split for a caller waiting on several clients at once: Send
+  // writes a request frame; then, each time fd() polls readable,
+  // ReceiveSome reads what has arrived — without blocking — and returns
+  // the response once its whole frame is in, nullopt while more is still
+  // to come. `verb` is the request's: a response of any other verb (bar
+  // kError) means the stream is out of sync. Transport failures poison the
+  // connection exactly as Call does; nothing is retried.
   Status Send(const Request& request);
-  Result<Response> Receive();
+  Result<std::optional<Response>> ReceiveSome(Verb verb);
 
   // Sends every request back to back, then reads every response; the result
   // has the same length and order as `requests`. One torn frame poisons the
@@ -93,6 +114,9 @@ class Client {
  private:
   explicit Client(int fd) : fd_(fd) {}
 
+  // Reads until the response to a request of `verb` is whole.
+  Result<Response> Receive(Verb verb);
+
   // One send/receive round on the current connection, no retries.
   Result<Response> CallOnce(const Request& request);
 
@@ -101,6 +125,8 @@ class Client {
   std::string host_;
   int port_ = -1;
   ClientOptions options_;
+  // Response bytes read but not yet decoded: a frame may arrive in pieces.
+  FrameParser parser_;
 };
 
 }  // namespace serve

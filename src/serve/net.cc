@@ -85,41 +85,51 @@ Result<int> AcceptConnection(int listen_fd) {
   }
 }
 
-Result<int> ConnectTcp(const std::string& host, int port, int timeout_ms) {
+Result<int> StartConnect(const std::string& host, int port) {
   VDB_ASSIGN_OR_RETURN(sockaddr_in addr, MakeAddr(host, port));
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     return Errno("socket");
   }
-  // Connect with a deadline: non-blocking connect + poll, then restore
-  // blocking mode for the request/response loop.
-  int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
     Status s = Errno(("connect " + host + StrFormat(":%d", port)).c_str());
     CloseFd(fd);
     return s;
   }
-  if (rc != 0) {
-    pollfd pfd{fd, POLLOUT, 0};
-    int ready = poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : -1);
-    if (ready <= 0) {
-      CloseFd(fd);
-      return Status::IoError(
-          StrFormat("connect %s:%d timed out after %d ms", host.c_str(),
-                    port, timeout_ms));
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
-      CloseFd(fd);
-      return Status::IoError(StrFormat("connect %s:%d: %s", host.c_str(),
-                                       port, std::strerror(err)));
-    }
+  return fd;
+}
+
+Status FinishConnect(int fd, const std::string& host, int port) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    err = errno;
   }
-  fcntl(fd, F_SETFL, flags);
+  if (err != 0) {
+    return Status::IoError(StrFormat("connect %s:%d: %s", host.c_str(), port,
+                                     std::strerror(err)));
+  }
+  int flags = fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
+    return Errno("fcntl F_SETFL");
+  }
+  return Status::Ok();
+}
+
+Result<int> ConnectTcp(const std::string& host, int port, int timeout_ms) {
+  VDB_ASSIGN_OR_RETURN(int fd, StartConnect(host, port));
+  pollfd pfd{fd, POLLOUT, 0};
+  if (poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : -1) <= 0) {
+    CloseFd(fd);
+    return Status::IoError(StrFormat("connect %s:%d timed out after %d ms",
+                                     host.c_str(), port, timeout_ms));
+  }
+  Status connected = FinishConnect(fd, host, port);
+  if (!connected.ok()) {
+    CloseFd(fd);
+    return connected;
+  }
   return fd;
 }
 

@@ -29,6 +29,14 @@ Result<int> AcceptConnection(int listen_fd);
 // Blocking connect with a timeout. Returns the connected fd.
 Result<int> ConnectTcp(const std::string& host, int port, int timeout_ms);
 
+// ConnectTcp split in two for a caller waiting on many sockets at once.
+// StartConnect returns a nonblocking socket whose connect is under way (or
+// already done); once it polls writable, FinishConnect reports whether the
+// connect succeeded and puts the socket back in blocking mode. The caller
+// closes the fd either way.
+Result<int> StartConnect(const std::string& host, int port);
+Status FinishConnect(int fd, const std::string& host, int port);
+
 // The port a bound socket actually listens on.
 Result<int> LocalPort(int fd);
 

@@ -22,12 +22,14 @@
 #include "core/video_database.h"
 #include "index/frame_index.h"
 #include "serve/client.h"
+#include "serve/net.h"
 #include "serve/server.h"
 #include "store/catalog_store.h"
 #include "synth/queries.h"
 #include "synth/workload.h"
 #include "tests/support/render_cache.h"
 #include "util/fs.h"
+#include "util/stopwatch.h"
 
 namespace vdb {
 namespace cluster {
@@ -188,6 +190,11 @@ class RouterClusterTest : public testing::Test {
     EXPECT_EQ(serve::EncodeResponse(got), serve::EncodeResponse(want))
         << context;
   }
+
+  static void ExpectHedgeHidesHungPrimary(int hung_port,
+                                          const RouterOptions& options,
+                                          const std::vector<std::string>& dirs,
+                                          serve::Server* merged);
 
   static VideoDatabase* direct_;
 };
@@ -463,6 +470,18 @@ TEST_F(RouterClusterTest, AllShardsDownIsAnErrorNotACrash) {
   EXPECT_TRUE(client.Ping("still-here").ok());
 }
 
+// The wire form of a signature: 3 bytes per TBA pixel.
+std::string SignatureBytes(const Signature& signature) {
+  std::string bytes;
+  bytes.reserve(signature.size() * 3);
+  for (const PixelRGB& pixel : signature) {
+    bytes.push_back(static_cast<char>(pixel.r));
+    bytes.push_back(static_cast<char>(pixel.g));
+    bytes.push_back(static_cast<char>(pixel.b));
+  }
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Replicas.
 
@@ -530,6 +549,171 @@ TEST_F(RouterClusterTest, HedgedReadsDoNotChangeAnswers) {
     ExpectSameBytes(*got, *want, "hedged round " + std::to_string(round));
   }
   merged->Stop();
+}
+
+// A two-shard cluster whose shard 0 primary is `hung_port` — a listener
+// that never answers — backed by a healthy replica; shard 1 is healthy.
+// Hedging must hide the hung primary: Start, a QUERY and a QUERYFRAME all
+// finish far inside the hung leg's connect and read timeouts,
+// byte-identical to the single-node oracle with every shard answering;
+// shard 1's lanes never wait on shard 0; and Stop() does not wait out the
+// hung leg.
+void RouterClusterTest::ExpectHedgeHidesHungPrimary(
+    int hung_port, const RouterOptions& options,
+    const std::vector<std::string>& dirs, serve::Server* merged) {
+  serve::Server replica0;
+  serve::Server primary1;
+  ASSERT_TRUE(replica0.Start({dirs[0]}).ok());
+  ASSERT_TRUE(primary1.Start({dirs[1]}).ok());
+  std::vector<ShardBackends> backends(2);
+  backends[0].primary.port = hung_port;
+  backends[0].replica.port = replica0.port();
+  backends[1].primary.port = primary1.port();
+  Router router(options, std::move(backends));
+  // Waiting on the hung leg costs at least this long.
+  const double hung_s = std::min(options.backend.connect_timeout_ms,
+                                 options.backend.read_timeout_ms) / 1e3;
+
+  Stopwatch start_timer;
+  Status started = router.Start();
+  ASSERT_TRUE(started.ok()) << started;
+  EXPECT_LT(start_timer.ElapsedSeconds(), hung_s / 5);
+  Result<serve::Client> via_router =
+      serve::Client::Connect("127.0.0.1", router.port());
+  Result<serve::Client> via_single =
+      serve::Client::Connect("127.0.0.1", merged->port());
+  ASSERT_TRUE(via_router.ok()) << via_router.status();
+  ASSERT_TRUE(via_single.ok()) << via_single.status();
+
+  serve::Request query;
+  query.verb = serve::Verb::kQuery;
+  query.query.var_ba = 9.0;
+  query.query.var_oa = 2.0;
+  query.query.top_k = 10;
+  serve::Request frame;
+  frame.verb = serve::Verb::kQueryFrame;
+  frame.query_frame.top_k = 5;
+  frame.query_frame.signature_rgb = SignatureBytes(
+      synth::PlantQueries(*direct_, 1, /*seed=*/77,
+                          index::FrameIndexOptions().tokenizer)
+          .at(0)
+          .signature);
+  for (const serve::Request& request : {query, frame}) {
+    std::string verb(serve::VerbName(request.verb));
+    Stopwatch call_timer;
+    Result<serve::Response> got = via_router->Call(request);
+    EXPECT_LT(call_timer.ElapsedSeconds(), hung_s / 5) << verb;
+    Result<serve::Response> want = via_single->Call(request);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got->status.ok()) << got->status;
+    EXPECT_EQ(got->shards_ok, 2u) << verb;
+    EXPECT_EQ(got->shards_total, 2u) << verb;
+    ExpectSameBytes(*got, *want, verb);
+  }
+
+  // Shard 1's lanes record its own arrivals, not the moment shard 0's
+  // hedge answered.
+  Result<serve::StatsResponse> stats = via_router->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  int lanes = 0;
+  for (const serve::VerbStats& v : stats->verbs) {
+    if (v.verb == "shard1/list" || v.verb == "shard1/query") {
+      ++lanes;
+      EXPECT_GT(v.count, 0u) << v.verb;
+      EXPECT_LT(v.p99_us, hung_s / 5 * 1e6) << v.verb;
+    }
+  }
+  EXPECT_EQ(lanes, 2);
+
+  Stopwatch stop_timer;
+  router.Stop();
+  EXPECT_LT(stop_timer.ElapsedSeconds(), 1.0);
+}
+
+// A primary that completes the TCP handshake (the kernel queues it in the
+// listen backlog) but never accepts, reads or answers: every read sent to
+// it hangs until the hedge answers from the replica.
+TEST_F(RouterClusterTest, HedgeAnswersPastABlackHolePrimary) {
+  std::string out = TempPath("router_black_hole");
+  WipeDir(out);
+  ShardMap map;
+  map.shard_count = 2;
+  map.seed = kMapSeed;
+  ASSERT_TRUE(SplitStore(SourceStore(), out, map).ok());
+  std::vector<std::string> dirs = {out + "/" + ShardDirName(0),
+                                   out + "/" + ShardDirName(1)};
+  std::unique_ptr<serve::Server> merged = StartMerged(dirs);
+  Result<int> hole = serve::ListenTcp("127.0.0.1", 0, /*backlog=*/64);
+  ASSERT_TRUE(hole.ok()) << hole.status();
+  Result<int> hole_port = serve::LocalPort(*hole);
+  ASSERT_TRUE(hole_port.ok()) << hole_port.status();
+
+  RouterOptions options = FastOptions();
+  options.hedge_after_ms = 20;
+  options.backend.read_timeout_ms = 5'000;
+  // Long enough that no read probes the primary again during the test.
+  options.down_cooldown_ms = 60'000;
+  ExpectHedgeHidesHungPrimary(*hole_port, options, dirs, merged.get());
+
+  // The hedge that won Start's LIST cooled the hung primary down, so every
+  // later read went to the replica first: the black hole saw exactly one
+  // connection, not one per read.
+  ASSERT_TRUE(serve::SetNonBlocking(*hole).ok());
+  int connections = 0;
+  for (serve::IoOutcome accepted = serve::AcceptSome(*hole);
+       accepted.kind == serve::IoOutcome::kProgress;
+       accepted = serve::AcceptSome(*hole)) {
+    serve::CloseFd(static_cast<int>(accepted.bytes));
+    ++connections;
+  }
+  EXPECT_EQ(connections, 1);
+
+  merged->Stop();
+  serve::CloseFd(*hole);
+  WipeDir(out);
+}
+
+// A primary whose TCP handshake never completes: its listen backlog is
+// full, so the kernel drops new SYNs and every dial to it hangs. The dial
+// must not hold up the round — the other shard is sent its request at
+// once, and the hedge answers from the replica. With no cooldown, every
+// read dials the primary again and waits out the hedge.
+TEST_F(RouterClusterTest, HedgeAnswersPastAPrimaryThatNeverConnects) {
+  std::string out = TempPath("router_syn_drop");
+  WipeDir(out);
+  ShardMap map;
+  map.shard_count = 2;
+  map.seed = kMapSeed;
+  ASSERT_TRUE(SplitStore(SourceStore(), out, map).ok());
+  std::vector<std::string> dirs = {out + "/" + ShardDirName(0),
+                                   out + "/" + ShardDirName(1)};
+  std::unique_ptr<serve::Server> merged = StartMerged(dirs);
+  Result<int> full = serve::ListenTcp("127.0.0.1", 0, /*backlog=*/0);
+  ASSERT_TRUE(full.ok()) << full.status();
+  Result<int> full_port = serve::LocalPort(*full);
+  ASSERT_TRUE(full_port.ok()) << full_port.status();
+  // Fill the backlog until a dial hangs.
+  std::vector<int> fillers;
+  bool hung = false;
+  while (!hung && fillers.size() < 8) {
+    Result<int> fd = serve::ConnectTcp("127.0.0.1", *full_port, 200);
+    hung = !fd.ok();
+    if (fd.ok()) fillers.push_back(*fd);
+  }
+  ASSERT_TRUE(hung) << "backlog never filled";
+
+  RouterOptions options = FastOptions();
+  options.hedge_after_ms = 20;
+  options.backend.connect_timeout_ms = 5'000;
+  options.backend.read_timeout_ms = 5'000;
+  options.down_cooldown_ms = 0;
+  ExpectHedgeHidesHungPrimary(*full_port, options, dirs, merged.get());
+
+  merged->Stop();
+  for (int fd : fillers) serve::CloseFd(fd);
+  serve::CloseFd(*full);
+  WipeDir(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -644,18 +828,6 @@ TEST_F(RouterClusterTest, ClientWithRetriesSurvivesServerRestart) {
 
 // ---------------------------------------------------------------------------
 // QUERYFRAME scatter-gather.
-
-// The wire form of a signature: 3 bytes per TBA pixel.
-std::string SignatureBytes(const Signature& signature) {
-  std::string bytes;
-  bytes.reserve(signature.size() * 3);
-  for (const PixelRGB& pixel : signature) {
-    bytes.push_back(static_cast<char>(pixel.r));
-    bytes.push_back(static_cast<char>(pixel.g));
-    bytes.push_back(static_cast<char>(pixel.b));
-  }
-  return bytes;
-}
 
 // The acceptance-criterion merge property for the frame index: a router
 // over N shards answers QUERYFRAME byte-identically to one server holding
