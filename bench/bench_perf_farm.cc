@@ -2,7 +2,7 @@
 // machine sustains, and at what per-core efficiency.
 //
 // Each benchmark run admits N copies of the same clip as N tenants of one
-// StreamFarm (shared signature workers, weighted-fair dispatch) and
+// StreamFarm (shared decode + signature workers, weighted-fair dispatch) and
 // measures aggregate decoded-frame throughput. The headline counter is
 // streams_sustainable_3fps = aggregate_fps / 3 — the paper's browsing
 // scenario needs ~3 fps per live stream, so this is the machine's admission
@@ -10,7 +10,8 @@
 // thread count to expose scheduling overhead as N grows: ideal scaling
 // keeps it flat from N=1 to N=64.
 //
-// JSON alongside the other perf benches:
+// JSON alongside the other perf benches (the context records the build
+// type as vdb_build_type):
 //   ./bench_perf_farm --benchmark_format=json
 // VDB_FARM_SCALE (0, 1] scales the storyboard (default 0.04).
 
@@ -44,8 +45,8 @@ const Video& BenchVideo() {
 }
 
 // Arg(0) = concurrent streams. No publishing: this measures the compute
-// path (decode + shared signature workers + SBD), the part that bounds how
-// many live streams fit on the box.
+// path (decode and signature on the shared workers, SBD on each tenant's
+// sequencer), the part that bounds how many live streams fit on the box.
 void BM_FarmIngest(benchmark::State& state) {
   const Video& base = BenchVideo();
   const int streams = static_cast<int>(state.range(0));
@@ -96,4 +97,11 @@ BENCHMARK(BM_FarmIngest)
 }  // namespace
 }  // namespace vdb
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("vdb_build_type", vdb::bench::VdbBuildType());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

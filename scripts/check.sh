@@ -11,7 +11,7 @@
 #   scripts/check.sh cluster    # cluster suites under ASan then TSan
 #   scripts/check.sh index      # frame-index suites under ASan then TSan
 #   scripts/check.sh farm       # ingest-farm suites under ASan then TSan
-#   scripts/check.sh stress     # cluster/serve suites x20 under CPU hogs
+#   scripts/check.sh stress     # cluster/serve/farm/stream x20 under CPU hogs
 #
 # Build trees: build/ (plain), build-asan/, build-tsan/ — reused across
 # runs, so incremental checks are cheap. JOBS overrides the parallelism.
@@ -56,7 +56,7 @@ for stage in "${STAGES[@]}"; do
     tsan)
       # TSan watches the threaded suites: thread pool, concurrent ingest,
       # the server's snapshot swaps under concurrent clients, and the
-      # streaming pipeline's bounded queues and worker fan-out. The kernels
+      # streaming pipeline's reorder window and worker steps. The kernels
       # suite rides along for its thread-local workspace handoff.
       banner "tsan build + serve/cluster/concurrency/store/stream/farm/kernels/index suites"
       configure_and_build build-tsan thread
@@ -106,7 +106,7 @@ for stage in "${STAGES[@]}"; do
       # The multi-tenant farm battery on its own: the weighted-RR
       # dispatcher, shared-worker fan-out, single-committer publish
       # serialization, shed/resume convergence and the byte-identity sweep
-      # under ASan (workspace reuse across tenants, queue handoff) and TSan
+      # under ASan (workspace reuse across tenants, window handoff) and TSan
       # (the dispatcher's slot state, the committer's publish/reload
       # coalescing, lag tracking against running pipelines).
       banner "farm leg: asan build + farm suites"
@@ -117,13 +117,12 @@ for stage in "${STAGES[@]}"; do
       ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L farm
       ;;
     stress)
-      # The plain build's cluster and serve suites, each test rerun until
-      # it fails (at most 20 times) while `nproc` busy-loop shells hog
-      # every core: deadline-driven code (hedges, read timeouts, shedding)
-      # shows its timing flakes here rather than on a loaded CI host. The
-      # farm and stream labels join this leg once ROADMAP item 2's
-      # FarmFairnessTest flake is resolved.
-      banner "stress leg: plain build + cluster|serve suites x20 under $(nproc) CPU hogs"
+      # The plain build's cluster, serve, farm and stream suites, each
+      # test rerun until it fails (at most 20 times) while `nproc`
+      # busy-loop shells hog every core: deadline-driven code (hedges,
+      # read timeouts, shedding) and the farm's end-to-end fairness bound
+      # show their timing flakes here rather than on a loaded CI host.
+      banner "stress leg: plain build + cluster|serve|farm|stream suites x20 under $(nproc) CPU hogs"
       configure_and_build build ""
       hogs=()
       trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
@@ -132,7 +131,7 @@ for stage in "${STAGES[@]}"; do
         hogs+=($!)
       done
       ctest --test-dir build --output-on-failure -j "$(nproc)" \
-        -L 'cluster|serve' --repeat until-fail:20
+        -L 'cluster|serve|farm|stream' --repeat until-fail:20
       kill "${hogs[@]}"
       wait "${hogs[@]}" 2>/dev/null || true
       trap - EXIT

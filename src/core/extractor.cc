@@ -15,7 +15,7 @@ Result<FrameSignature> ComputeFrameSignature(const Frame& frame,
 Result<FrameSignature> ComputeFrameSignature(const Frame& frame,
                                              const AreaGeometry& geom) {
   // One workspace per thread: workers that extract many frames (batch
-  // ingest pools, the streaming signature stage) reuse their scratch
+  // ingest pools, the streaming pipeline's workers) reuse their scratch
   // across frames and allocate nothing in steady state.
   thread_local PyramidWorkspace workspace;
   return workspace.Compute(frame, geom);

@@ -9,7 +9,7 @@ namespace farm {
 
 // One tenant's scheduling state. `has_work` is a hint, not a guarantee: it
 // is consumed when a worker picks the slot and re-armed by NotifyWork or by
-// a step that made progress, so a stream with frames queued keeps getting
+// a step that made progress, so a stream with frames left keeps getting
 // picked while an idle one costs at most one failed poll per re-poll tick.
 struct FairDispatcher::Slot {
   int tenant_index = 0;
@@ -88,8 +88,8 @@ void FairDispatcher::Detach(Slot* slot,
     detach_cv_.wait(lock, [slot] { return slot->in_use == 0; });
     slot->source = nullptr;
     slot->finished = true;
-    // A stream can detach before any worker observed its kFinished (the
-    // finalize tail ran ahead of the next poll) — report it here so the
+    // A stream can detach before any worker observed its kFinished (its
+    // sequencer finished ahead of the next poll) — report it here so the
     // fairness record never misses a finisher.
     if (!slot->finish_reported) {
       slot->finish_reported = true;
@@ -155,9 +155,8 @@ bool FairDispatcher::AllDoneLocked() const {
 }
 
 void FairDispatcher::RepollLocked() {
-  // Liveness backstop: downstream backpressure (a full signature queue)
-  // clears without any NotifyWork, so periodically every attached tenant
-  // becomes pollable again.
+  // Liveness backstop: periodically every attached tenant becomes
+  // pollable again, whether or not a NotifyWork arrived.
   for (auto& s : slots_) {
     if (s->source != nullptr && !s->finished) s->has_work = true;
   }
@@ -167,13 +166,13 @@ void FairDispatcher::ReportFinished(int tenant_index) {
   if (finished_callback) finished_callback(tenant_index);
 }
 
-Status FairDispatcher::RunWorker() {
+void FairDispatcher::RunWorker() {
   PyramidWorkspace workspace;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     Slot* pick = PickLocked();
     if (pick == nullptr) {
-      if (AllDoneLocked()) return Status::Ok();
+      if (AllDoneLocked()) return;
       work_cv_.wait_for(
           lock, std::chrono::microseconds(options_.idle_repoll_micros));
       RepollLocked();
@@ -231,18 +230,6 @@ std::vector<uint64_t> FairDispatcher::ProcessedCounts() const {
     counts[s->tenant_index] += s->processed;
   }
   return counts;
-}
-
-bool FairDispatcher::QueueStats(int tenant_index,
-                                stream::TenantQueueStats* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& s : slots_) {
-    if (s->tenant_index != tenant_index) continue;
-    if (s->source == nullptr) return false;
-    *out = s->source->QueueStats();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace farm

@@ -15,7 +15,9 @@ namespace vdb {
 namespace farm {
 
 // The farm's fair scheduler: a weighted round-robin dispatcher that feeds
-// shared signature workers one frame of one tenant's work at a time.
+// shared workers one frame of one tenant's work at a time. A step decodes
+// the frame and computes its signature, so the scheduler shares out the
+// whole per-frame CPU cost.
 //
 // Every tenant registers a slot (AddTenant) whose handle is wired into its
 // pipeline (PipelineOptions::dispatcher). Shared workers run RunWorker();
@@ -24,15 +26,15 @@ namespace farm {
 // then performs exactly one ProcessOne step. Credits refill to the
 // tenant's weight once every tenant's are spent, so over any window the
 // service ratio between two backlogged tenants tracks their weight ratio —
-// a hot stream cannot starve the rest, because its extra frames queue in
-// its own bounded decode queue while the scheduler keeps cycling.
+// a hot stream cannot starve the rest, because it can run at most its
+// reorder window ahead of its own sequencer while the scheduler keeps
+// cycling.
 //
 // Work hints keep the loop from busy-spinning: a slot is pollable when its
-// pipeline pushed a decoded frame (NotifyWork) or its last step made
-// progress. When nothing is pollable, workers sleep on a condition
-// variable with a short timeout and then re-poll every attached tenant —
-// downstream backpressure clears without any notify arriving, so the
-// timeout is the liveness backstop.
+// pipeline signalled that a step may start (NotifyWork) or its last step
+// made progress. When nothing is pollable, workers sleep on a condition
+// variable with a short timeout and then re-poll every attached tenant;
+// the timeout is the liveness backstop should a hint ever be missed.
 class FairDispatcher {
  public:
   struct Options {
@@ -54,19 +56,16 @@ class FairDispatcher {
   // up front).
   stream::SignatureDispatcher* AddTenant(int tenant_index, int weight);
 
-  // Worker loop body; run one per shared signature worker thread. Returns
+  // Worker loop body; run one per shared worker thread. Returns
   // once Close() was called and every attached source has detached.
-  Status RunWorker();
+  void RunWorker();
 
   // No further tenants will register; workers exit when all work is done.
   void Close();
 
-  // Signature steps served per tenant, indexed by tenant_index.
+  // Steps (frames decoded and signed) served per tenant, indexed by
+  // tenant_index.
   std::vector<uint64_t> ProcessedCounts() const;
-
-  // Live queue counters of tenant `tenant_index`'s pipeline; false while
-  // its source is not attached.
-  bool QueueStats(int tenant_index, stream::TenantQueueStats* out) const;
 
   // Invoked (without the dispatcher lock held) the first time each
   // tenant's stream finishes — the farm snapshots per-tenant progress here

@@ -49,7 +49,7 @@ struct StreamFarm::Tenant {
   double lag_seconds = 0.0;
   bool lagging = false;
 
-  // Written by RunTenant before it retires, read after the pool drains.
+  // Written by RunTenant before it retires, read after its thread joins.
   StreamOutcome outcome;
 };
 
@@ -198,28 +198,23 @@ Result<FarmReport> StreamFarm::Execute(std::vector<StreamSpec> specs,
   active_.store(n);
   clock_.Reset();
 
-  // One thread per tenant runner plus the shared signature workers; every
-  // task blocks for the farm's whole lifetime, so the pool is sized to
-  // hold all of them at once (n + workers >= 2 keeps it out of inline
-  // mode).
-  ThreadPool pool(n + workers);
+  // The shared workers, plus one thread per tenant that runs its
+  // pipeline's sequencer.
+  std::vector<std::thread> threads;
   for (int w = 0; w < workers; ++w) {
-    pool.Submit([this] { return dispatcher_->RunWorker(); });
+    threads.emplace_back([this] { dispatcher_->RunWorker(); });
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& tenant : tenants_) {
       Tenant* raw = tenant.get();
-      if (!pool.Submit(
-              [this, raw, resume] { return RunTenant(raw, resume); })) {
-        active_.fetch_sub(1);
-      }
+      threads.emplace_back([this, raw, resume] { RunTenant(raw, resume); });
     }
   }
 
   MonitorLoop();
   dispatcher_->Close();
-  Status pool_status = pool.Wait();
+  for (std::thread& thread : threads) thread.join();
 
   FarmReport report;
   report.wall_seconds = clock_.ElapsedSeconds();
@@ -240,11 +235,10 @@ Result<FarmReport> StreamFarm::Execute(std::vector<StreamSpec> specs,
     }
     running_ = false;
   }
-  if (!pool_status.ok()) return pool_status;
   return report;
 }
 
-Status StreamFarm::RunTenant(Tenant* tenant, bool resume) {
+void StreamFarm::RunTenant(Tenant* tenant, bool resume) {
   tenant->state.store(static_cast<int>(StreamState::kRunning),
                       std::memory_order_relaxed);
   // A farm-wide Cancel that raced ahead of this tenant's launch still
@@ -279,9 +273,6 @@ Status StreamFarm::RunTenant(Tenant* tenant, bool resume) {
   tenant->state.store(static_cast<int>(final_state),
                       std::memory_order_release);
   active_.fetch_sub(1);
-  // A tenant failure is the tenant's outcome, not the farm's: returning Ok
-  // keeps the pool's first-error slot for infrastructure failures only.
-  return Status::Ok();
 }
 
 void StreamFarm::MonitorLoop() {
@@ -380,9 +371,6 @@ FarmMetrics StreamFarm::MetricsLocked() const {
     }
     sm.lag_seconds = tenant->lag_seconds;
     sm.lagging = tenant->lagging;
-    if (dispatcher_ != nullptr) {
-      dispatcher_->QueueStats(tenant->index, &sm.queues);
-    }
     switch (sm.state) {
       case StreamState::kPending:
         break;

@@ -29,9 +29,10 @@ struct StreamSpec {
 
   std::unique_ptr<stream::FrameSource> source;
 
-  // Fair-share weight (>= 1): a weight-3 tenant gets ~3x the signature
-  // service of a weight-1 tenant when both are backlogged. Doubles as shed
-  // priority — past the deadline, the lowest weight is shed first.
+  // Fair-share weight (>= 1): a weight-3 tenant gets ~3x the decode and
+  // signature service of a weight-1 tenant when both are backlogged.
+  // Doubles as shed priority — past the deadline, the lowest weight is
+  // shed first.
   int weight = 1;
 
   // Real-time target of this stream; frames arriving at target_fps should
@@ -48,12 +49,14 @@ struct FarmOptions {
   // with kUnavailable (nothing is partially admitted). <= 0 = unlimited.
   int max_streams = 16;
 
-  // Shared signature workers; <= 0 uses HardwareThreads().
+  // Shared workers, which decode and sign every tenant's frames; <= 0 uses
+  // HardwareThreads().
   int signature_workers = 0;
 
-  // Capacity of each tenant's inter-stage queues — the per-stream
-  // frames-in-flight budget. A hot stream fills its own queues and blocks
-  // its own decoder; it cannot crowd other tenants out of memory.
+  // Each tenant's reorder window (PipelineOptions::queue_capacity) — the
+  // per-stream frames-in-flight budget. A hot stream that runs a window
+  // ahead of its own sequencer gets no further steps until it catches up;
+  // it cannot crowd other tenants out of memory.
   int queue_capacity = 4;
 
   // Checkpoint cadence per tenant (see PipelineOptions); either trigger
@@ -109,7 +112,6 @@ struct StreamMetrics {
   uint64_t signature_steps = 0;  // work units the dispatcher served it
   double lag_seconds = 0.0;      // behind real time (target_fps only)
   bool lagging = false;
-  stream::TenantQueueStats queues;
 };
 
 struct FarmMetrics {
@@ -158,16 +160,19 @@ struct FarmReport {
 };
 
 // The multi-tenant real-time ingest farm: N streaming pipelines as tenants
-// over one shared signature-worker pool, with admission control at the
-// front, the FairDispatcher in the middle, and the single-committer store
-// publish path at the back.
+// over one shared worker pool, with admission control at the front, the
+// FairDispatcher in the middle, and the single-committer store publish
+// path at the back.
 //
-//   tenants (decode → q → [shared workers via FairDispatcher] → SBD →
-//   finalize) ──checkpoints──> Committer ──one generation each──> store
+//   shared workers ──FairDispatcher──> tenant steps (decode + sign a frame)
+//   tenant thread: sequencer (SBD → features → scene tree)
+//       ──checkpoints──> Committer ──one generation each──> store
 //
+// Each tenant owns one thread, which runs its pipeline's sequencer; the
+// per-frame decode and signature work runs only on the shared workers.
 // Per-tenant results are byte-identical to a solo run by construction: the
-// dispatcher only changes *which thread* computes a signature and *when*,
-// and the pipeline's reorder stage already makes those irrelevant.
+// dispatcher only changes *which thread* steps a frame and *when*, and the
+// pipeline's reorder window already makes those irrelevant.
 //
 // A StreamFarm object runs once (Run or Resume); Cancel() may be called
 // from any thread while it runs, and Metrics() gives a live snapshot.
@@ -205,7 +210,7 @@ class StreamFarm {
 
   Result<FarmReport> Execute(std::vector<StreamSpec> specs, bool resume);
   Status ValidateSpecs(const std::vector<StreamSpec>& specs, bool resume);
-  Status RunTenant(Tenant* tenant, bool resume);
+  void RunTenant(Tenant* tenant, bool resume);
   void MonitorLoop();
   void UpdateLagAndShed();
   void RecordCompletionSnapshot();

@@ -1,9 +1,6 @@
 #ifndef VDB_STREAM_DISPATCH_H_
 #define VDB_STREAM_DISPATCH_H_
 
-#include <cstddef>
-#include <cstdint>
-
 #include "util/status.h"
 
 namespace vdb {
@@ -12,48 +9,37 @@ class PyramidWorkspace;
 
 namespace stream {
 
-// External signature dispatch: the seam between one streaming Pipeline and
-// a multi-tenant scheduler (farm/). A solo pipeline spawns its own
-// signature workers; under a farm, the pipeline instead attaches a
+// External dispatch: the seam between one streaming Pipeline and a
+// multi-tenant scheduler (farm/). A solo pipeline starts its own workers;
+// under a farm, the pipeline instead attaches itself as a
 // SignatureWorkSource to the farm's dispatcher, and the farm's *shared*
-// worker threads pull one frame of signature work at a time from whichever
-// tenant the scheduler picks. Fairness thus lives entirely outside the
-// pipeline, and the analysis stays byte-identical to a solo run by
-// construction: the work unit is the same ComputeFrameSignature call, and
-// the SBD stage reorders results whatever order workers finish in.
+// worker threads step whichever tenant the scheduler picks. One step
+// decodes one frame and computes its signature, so fairness covers the
+// whole per-frame CPU cost and lives entirely outside the pipeline. The
+// analysis stays byte-identical to a solo run by construction: the step
+// is the same in both, and the pipeline's reorder window puts results back
+// in frame order whatever order workers finish in.
 
-// Live counters of one tenant's inter-stage queues, for the farm's
-// metrics snapshot (depths, high-water marks, lifetime totals).
-struct TenantQueueStats {
-  size_t decode_depth = 0;
-  size_t decode_high_water = 0;
-  uint64_t decode_total = 0;
-  size_t signature_depth = 0;
-  size_t signature_high_water = 0;
-  uint64_t signature_total = 0;
-};
-
-// One tenant's signature work, pulled a frame at a time by shared workers.
-// Implemented by the pipeline's runner; every method is safe to call from
-// any number of worker threads concurrently.
+// One tenant's per-frame work, pulled a step at a time by shared workers.
+// Implemented by the pipeline's runner; ProcessOne is safe to call from any
+// number of worker threads concurrently.
 class SignatureWorkSource {
  public:
   enum class Step {
-    kProcessed,  // one frame's signature was computed and handed on
-    kIdle,       // no frame ready right now (decode behind, or downstream
-                 // backpressure) — try again later
-    kFinished,   // the stream is drained; this source is done for good
+    kProcessed,  // one frame was decoded and signed
+    kIdle,       // no frame can start right now (another step is
+                 // decoding, or the reorder window is full) — try again
+                 // after a NotifyWork
+    kFinished,   // every frame is claimed or the run stopped; this source
+                 // has no more steps for good
   };
 
   virtual ~SignatureWorkSource() = default;
 
-  // Performs at most one frame of signature work without ever blocking on
-  // this tenant's queues. `workspace` is the calling worker's scratch
-  // (core/kernels.h), reused across tenants of identical geometry cost.
+  // Decodes and signs at most one frame without ever blocking on this
+  // tenant. `workspace` is the calling worker's scratch (core/kernels.h),
+  // reused across tenants of identical geometry cost.
   virtual Step ProcessOne(PyramidWorkspace* workspace) = 0;
-
-  // Snapshot of the tenant's queue counters (internally synchronized).
-  virtual TenantQueueStats QueueStats() const = 0;
 };
 
 // What the pipeline sees of the farm's scheduler. One dispatcher handle is
@@ -67,14 +53,14 @@ class SignatureDispatcher {
   // threads may call source->ProcessOne at any time until Detach.
   virtual Status Attach(SignatureWorkSource* source) = 0;
 
-  // Called by the pipeline as its run ends (every stage joined). Blocks
-  // until no worker is inside `source` and guarantees it is never picked
-  // again, so the caller may destroy the source immediately after.
+  // Called by the pipeline as its run ends. Blocks until no worker is
+  // inside `source` and guarantees it is never picked again, so the caller
+  // may destroy the source immediately after.
   virtual void Detach(SignatureWorkSource* source) = 0;
 
-  // Hint that a decoded frame became available on the attached source; the
-  // scheduler should route a worker at it soon. Called by the pipeline's
-  // decode stage after each push.
+  // Hint that a step may now start on the attached source; the scheduler
+  // should route a worker at it soon. Called by the pipeline when a step
+  // releases the decode claim and when the sequencer frees a window slot.
   virtual void NotifyWork() = 0;
 };
 

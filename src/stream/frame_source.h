@@ -12,8 +12,8 @@ namespace stream {
 
 // Where the streaming ingest pipeline pulls frames from: a .vdb file read
 // one frame at a time, an in-memory Video, or (in tests) anything slow or
-// failure-injecting. The pipeline's decode stage owns the source and pulls
-// it sequentially; SeekToFrame exists so Pipeline::Resume can skip the
+// failure-injecting. The pipeline's steps pull it one thread at a time, in
+// frame order; SeekToFrame exists so Pipeline::Resume can skip the
 // frames a previous run already analysed.
 class FrameSource {
  public:

@@ -1,9 +1,10 @@
 #include "stream/pipeline.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <condition_variable>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <utility>
 
 #include "core/extractor.h"
@@ -13,68 +14,49 @@
 #include "core/scene_tree.h"
 #include "core/shot_detector.h"
 #include "store/catalog_store.h"
-#include "util/bounded_queue.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace vdb {
 namespace stream {
-namespace {
 
-// One decoded frame travelling decode → signature. The pixels are the
-// pipeline's only unbounded-size payload; they die in the signature stage.
-struct DecodedFrame {
-  int frame = 0;
-  Frame pixels;
-};
-
-// One reduced frame travelling signature → SBD (out of order when the
-// signature stage fans out).
-struct SigItem {
-  int frame = 0;
-  FrameSignature sig;
-};
-
-// What the SBD stage tells the finalize stage. Per in-order frame it emits
-// one kFrameSigns carrying the whole frame signature — including the
-// signature line, which the VDBCAT02 catalog codec persists and the frame
-// index tokenizes, so the streamed entry stays byte-identical to batch —
-// then zero or more kShotClosed, and a single kFinish carrying the final
-// cumulative statistics at end of stream.
-struct SbdEvent {
-  enum class Kind { kFrameSigns, kShotClosed, kFinish };
-  Kind kind = Kind::kFrameSigns;
-  int frame = 0;
-  FrameSignature sig;
-  Shot shot;
-  SbdStageStats stats;
-};
-
-}  // namespace
-
-// All state of one Run()/Resume() invocation. A fresh Runner per run keeps
-// Pipeline::Cancel() races simple: the pipeline only ever closes the
-// current runner's queues under runner_mu_.
-class Pipeline::Runner {
+// All state of one Run()/Resume() invocation, and the work source its
+// workers step. A fresh Runner per run keeps Pipeline::Cancel() races
+// simple: the pipeline only ever wakes the current runner, under
+// runner_mu_.
+//
+// Frames move through a reorder window of `capacity_` slots. A step claims
+// frame next_decode_, decodes it while holding the claim (so the source is
+// read by one thread at a time, in frame order), then signs it with the
+// claim released and parks the signature in slot frame % capacity_. The
+// sequencer empties the slots in frame order. A step may claim frame f
+// only while f < next_seq_ + capacity_, so every frame decoded and not yet
+// sequenced has a slot of its own.
+class Pipeline::Runner : public SignatureWorkSource {
  public:
   Runner(const PipelineOptions& options, std::atomic<bool>* cancel)
       : options_(options),
         cancel_(cancel),
-        decode_q_(static_cast<size_t>(std::max(1, options.queue_capacity))),
-        sig_q_(static_cast<size_t>(std::max(1, options.queue_capacity))),
-        event_q_(static_cast<size_t>(std::max(1, options.queue_capacity))),
+        capacity_(std::max(1, options.queue_capacity)),
+        window_(static_cast<size_t>(capacity_)),
         detector_(options.database.detector),
         acc_(options.database.scene_tree) {}
 
-  // Wakes every stage; used by Cancel() and by internal failure teardown.
-  void CloseAll() {
-    decode_q_.Close();
-    sig_q_.Close();
-    event_q_.Close();
+  // Wakes the sequencer and every idle worker; used by Cancel() and by
+  // Fail(). Taking mu_ orders the stop flag before any waiter's next
+  // predicate check, so no wakeup is lost.
+  void Wake() {
+    { std::lock_guard<std::mutex> lock(mu_); }
+    ready_cv_.notify_all();
+    work_cv_.notify_all();
   }
 
   Result<PipelineResult> Execute(FrameSource* source, bool resume);
+
+  // Decodes the next frame and computes its signature. Never blocks on
+  // this tenant: kIdle when another step holds the decode claim or the
+  // window is full.
+  Step ProcessOne(PyramidWorkspace* workspace) override;
 
  private:
   bool ShouldStop() const {
@@ -82,34 +64,42 @@ class Pipeline::Runner {
            aborted_.load(std::memory_order_relaxed);
   }
 
-  // Records the first internal failure and tears the pipeline down.
+  // mu_ must be held. True when a step would not return kIdle.
+  bool StepReadyLocked() const {
+    return ShouldStop() || next_decode_ == end_frame_ ||
+           (!decoding_ && next_decode_ < next_seq_ + capacity_);
+  }
+
+  // Records the first failure and stops the run.
   Status Fail(Status status) {
     {
-      std::lock_guard<std::mutex> lock(error_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (first_error_.ok()) first_error_ = status;
     }
     aborted_.store(true, std::memory_order_relaxed);
-    CloseAll();
+    Wake();
     return status;
   }
 
-  void NoteInFlight(int delta) {
-    int now = frames_in_flight_.fetch_add(delta, std::memory_order_relaxed) +
-              delta;
-    int seen = max_in_flight_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !max_in_flight_.compare_exchange_weak(seen, now,
-                                                 std::memory_order_relaxed)) {
+  // A step may now be able to start: the decode claim was released or the
+  // sequencer freed a slot.
+  void NotifyWork() {
+    if (options_.dispatcher != nullptr) {
+      options_.dispatcher->NotifyWork();
+    } else {
+      work_cv_.notify_all();
     }
   }
 
-  class SignatureAdapter;
+  // Solo runs: a worker thread's loop.
+  void WorkLoop();
 
-  Status DecodeStage(FrameSource* source, int start_frame);
-  Status SignatureStage();
-  Status SbdStage(int start_frame);
-  Status FinalizeStage();
-  Status HandleEvent(const SbdEvent& event);
+  // The sequencer: SBD, shot features, scene tree, checkpoints, in frame
+  // order, on the thread that called Run/Resume.
+  Status Sequence(int start_frame);
+  Status CloseShots(
+      const std::vector<StreamingShotDetector::ClosedShot>& closed);
+  Status CloseShot(const StreamingShotDetector::ClosedShot& closed);
   Status MaybeCheckpoint(const Shot& shot);
 
   // The analysis so far as a catalog entry covering frames
@@ -126,45 +116,43 @@ class Pipeline::Runner {
 
   const PipelineOptions& options_;
   std::atomic<bool>* cancel_;
+  const int capacity_;
 
-  BoundedQueue<DecodedFrame> decode_q_;
-  BoundedQueue<SigItem> sig_q_;
-  BoundedQueue<SbdEvent> event_q_;
-
-  StreamingShotDetector detector_;
-  SceneTreeAccumulator acc_;
-
-  // External dispatch only: the work source the farm's shared signature
-  // workers drive instead of this runner's own SignatureStage tasks.
-  std::unique_ptr<SignatureAdapter> adapter_;
-
+  FrameSource* source_ = nullptr;
   AreaGeometry geometry_;
   std::string name_;
   double fps_ = 0.0;
+  int end_frame_ = 0;
 
-  // Finalize-stage state (single consumer; no locking needed).
-  VideoSignatures signs_;
-  std::vector<Shot> shots_;
-  std::vector<ShotFeatures> features_;
-  SbdStageStats last_close_stats_;
-  bool saw_finish_ = false;
-  int shots_since_checkpoint_ = 0;
-  int checkpoint_frame_ = 0;  // first frame not covered by the last publish
-
-  std::atomic<bool> aborted_{false};
-  std::mutex error_mu_;
-  Status first_error_;
-
-  std::atomic<int> frames_in_flight_{0};
-  std::atomic<int> max_in_flight_{0};
-  std::atomic<int> sig_workers_left_{0};
-
-  // Per-stage accounting; the signature entries aggregate all workers.
-  std::mutex stats_mu_;
+  // Window state and step accounting, guarded by mu_.
+  std::mutex mu_;
+  std::condition_variable ready_cv_;  // a slot became ready (sequencer)
+  std::condition_variable work_cv_;   // a step may start (solo workers)
+  // Slot f % capacity_ holds frame f's signature once it is signed.
+  std::vector<std::optional<FrameSignature>> window_;
+  bool decoding_ = false;  // a step holds the decode claim
+  int next_decode_ = 0;
+  int next_seq_ = 0;
+  int decoded_ = 0;  // decoded, not yet signed: live pixel frames
+  int signed_ = 0;   // signed, not yet sequenced
+  int decoded_high_water_ = 0;
+  int signed_high_water_ = 0;
   long frames_decoded_ = 0;
   double decode_busy_ = 0;
   long sig_items_ = 0;
   double sig_busy_ = 0;
+  Status first_error_;
+  std::atomic<bool> aborted_{false};
+
+  // Sequencer state (one thread; no locking needed).
+  StreamingShotDetector detector_;
+  SceneTreeAccumulator acc_;
+  VideoSignatures signs_;
+  std::vector<Shot> shots_;
+  std::vector<ShotFeatures> features_;
+  SbdStageStats last_close_stats_;
+  int shots_since_checkpoint_ = 0;
+  int checkpoint_frame_ = 0;  // first frame not covered by the last publish
   long sbd_items_ = 0;
   double sbd_busy_ = 0;
   long fin_items_ = 0;
@@ -175,95 +163,81 @@ class Pipeline::Runner {
   PipelineReport report_;
 };
 
-// Shared-worker signature execution for one tenant (external dispatch).
-// ProcessOne never blocks on this tenant's queues: a decoded frame is
-// claimed with TryPop, and a result that cannot be pushed because sig_q_
-// is momentarily full is stashed in `pending_` and flushed first on the
-// next call — a farm worker is never parked on a tenant whose downstream
-// is slow. Any number of workers may be inside ProcessOne at once; the
-// (claim, active_) bookkeeping is atomic under mu_ so exactly one caller
-// observes the drained stream and closes sig_q_.
-class Pipeline::Runner::SignatureAdapter : public SignatureWorkSource {
- public:
-  explicit SignatureAdapter(Runner* runner) : runner_(runner) {}
+SignatureWorkSource::Step Pipeline::Runner::ProcessOne(
+    PyramidWorkspace* workspace) {
+  int frame = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ShouldStop() || next_decode_ == end_frame_) return Step::kFinished;
+    if (decoding_ || next_decode_ >= next_seq_ + capacity_) {
+      return Step::kIdle;
+    }
+    decoding_ = true;
+    frame = next_decode_;
+  }
 
-  Step ProcessOne(PyramidWorkspace* workspace) override {
-    Runner* r = runner_;
-    DecodedFrame item;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Flush backpressured results first; order does not matter (the SBD
-      // stage reorders), so head-of-line is as good as any.
-      while (!pending_.empty() && r->sig_q_.TryPush(&pending_.front())) {
-        pending_.pop_front();
+  Stopwatch sw;
+  Result<Frame> pixels = source_->Next();
+  const double decode_busy = sw.ElapsedSeconds();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    decoding_ = false;
+    decode_busy_ += decode_busy;
+    if (pixels.ok()) {
+      ++next_decode_;
+      ++frames_decoded_;
+      decoded_high_water_ = std::max(decoded_high_water_, ++decoded_);
+    }
+  }
+  if (!pixels.ok()) {
+    Fail(pixels.status());
+    return Step::kFinished;
+  }
+  NotifyWork();
+
+  // The expensive part runs without the claim, so other workers can
+  // decode and sign this tenant's next frames concurrently.
+  sw.Reset();
+  Result<FrameSignature> sig =
+      ComputeFrameSignature(*pixels, geometry_, workspace);
+  const double sig_busy = sw.ElapsedSeconds();
+  *pixels = Frame();  // the pixels die here
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --decoded_;
+    sig_busy_ += sig_busy;
+    if (sig.ok()) {
+      ++sig_items_;
+      window_[static_cast<size_t>(frame % capacity_)] = std::move(*sig);
+      signed_high_water_ = std::max(signed_high_water_, ++signed_);
+    }
+  }
+  if (!sig.ok()) {
+    Fail(sig.status());
+    return Step::kFinished;
+  }
+  ready_cv_.notify_one();
+  return Step::kProcessed;
+}
+
+void Pipeline::Runner::WorkLoop() {
+  // The geometry is fixed for the whole run, so every frame after the
+  // first reduces with zero allocations of scratch.
+  PyramidWorkspace workspace;
+  for (;;) {
+    switch (ProcessOne(&workspace)) {
+      case Step::kFinished:
+        return;
+      case Step::kProcessed:
+        break;
+      case Step::kIdle: {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_cv_.wait(lock, [this] { return StepReadyLocked(); });
+        break;
       }
-      if (!pending_.empty()) return CheckDone(r);
-      if (!r->decode_q_.TryPop(&item)) return CheckDone(r);
-      ++active_;
     }
-
-    // The expensive part runs outside the adapter lock, so other workers
-    // can claim this tenant's next frames concurrently.
-    Stopwatch sw;
-    Result<FrameSignature> sig =
-        ComputeFrameSignature(item.pixels, r->geometry_, workspace);
-    double busy = sw.ElapsedSeconds();
-    item.pixels = Frame();  // the pixels die here
-    r->NoteInFlight(-1);
-    {
-      std::lock_guard<std::mutex> stats_lock(r->stats_mu_);
-      r->sig_busy_ += busy;
-      if (sig.ok()) ++r->sig_items_;
-    }
-    if (!sig.ok()) {
-      r->Fail(sig.status());
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      return CheckDone(r);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      SigItem out{item.frame, std::move(*sig)};
-      if (!r->sig_q_.TryPush(&out) && !r->sig_q_.closed()) {
-        pending_.push_back(std::move(out));
-      }
-      CheckDone(r);  // the worker finishing the last frame closes sig_q_
-    }
-    return Step::kProcessed;
   }
-
-  TenantQueueStats QueueStats() const override {
-    Runner* r = runner_;
-    TenantQueueStats s;
-    s.decode_depth = r->decode_q_.size();
-    s.decode_high_water = r->decode_q_.high_water();
-    s.decode_total = r->decode_q_.total_pushed();
-    s.signature_depth = r->sig_q_.size();
-    s.signature_high_water = r->sig_q_.high_water();
-    s.signature_total = r->sig_q_.total_pushed();
-    return s;
-  }
-
- private:
-  // mu_ must be held. The stream is finished when decode has closed and
-  // drained, nothing is stashed, and no worker is mid-compute — or the
-  // runner is tearing down anyway.
-  Step CheckDone(Runner* r) {
-    if (r->ShouldStop() ||
-        (r->decode_q_.closed() && r->decode_q_.size() == 0 &&
-         pending_.empty() && active_ == 0)) {
-      r->sig_q_.Close();
-      return Step::kFinished;
-    }
-    return Step::kIdle;
-  }
-
-  Runner* runner_;
-  std::mutex mu_;
-  std::deque<SigItem> pending_;  // computed, awaiting room in sig_q_
-  int active_ = 0;               // workers currently computing a frame
-};
+}
 
 Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
                                                  bool resume) {
@@ -287,54 +261,38 @@ Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
     VDB_RETURN_IF_ERROR(SeedFromStore(source));
     start_frame = resume_frame_;
   }
+  source_ = source;
+  end_frame_ = source->frame_count();
+  next_decode_ = start_frame;
+  next_seq_ = start_frame;
 
-  // External dispatch: the signature stage belongs to the farm's shared
-  // workers, not to this runner.
-  const bool external = options_.dispatcher != nullptr;
-  const int sig_threads = external ? 0 : std::max(1, options_.signature_threads);
-  sig_workers_left_.store(sig_threads);
-
-  {
-    // One worker per stage plus the signature fan-out. The pool must not
-    // run stages inline (a stage blocks on its queues), so never fewer
-    // than 2 pool threads.
-    ThreadPool pool(3 + sig_threads);
-    if (external) {
-      adapter_ = std::make_unique<SignatureAdapter>(this);
-      Status attached = options_.dispatcher->Attach(adapter_.get());
-      if (!attached.ok()) return attached;
+  // Steps run on the farm's shared workers, or on this run's own.
+  std::vector<std::thread> workers;
+  if (options_.dispatcher != nullptr) {
+    VDB_RETURN_IF_ERROR(options_.dispatcher->Attach(this));
+  } else {
+    const int threads = std::max(1, options_.signature_threads) + 1;
+    for (int i = 0; i < threads; ++i) {
+      workers.emplace_back([this] { WorkLoop(); });
     }
-    pool.Submit([this, source, start_frame] {
-      return DecodeStage(source, start_frame);
-    });
-    for (int i = 0; i < sig_threads; ++i) {
-      pool.Submit([this] { return SignatureStage(); });
-    }
-    pool.Submit([this, start_frame] { return SbdStage(start_frame); });
-    pool.Submit([this] { return FinalizeStage(); });
-    Status run = pool.Wait();
-    // After Detach no worker is inside the adapter, so tearing the runner
-    // down (and with it the queues) is safe.
-    if (external) options_.dispatcher->Detach(adapter_.get());
-    if (!run.ok()) return run;
   }
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    if (!first_error_.ok()) return first_error_;
-  }
+  Status sequenced = Sequence(start_frame);
+  if (!sequenced.ok()) Fail(sequenced);
+  // After Detach no worker is inside ProcessOne, so tearing the runner
+  // down is safe.
+  if (options_.dispatcher != nullptr) options_.dispatcher->Detach(this);
+  for (std::thread& worker : workers) worker.join();
+  if (!first_error_.ok()) return first_error_;
 
   report_.total_seconds = run_clock_.ElapsedSeconds();
-  report_.max_frames_in_flight = max_in_flight_.load();
+  report_.max_frames_in_flight = decoded_high_water_;
   report_.stages = {
       StageReport{"decode", frames_decoded_, decode_busy_,
-                  static_cast<int>(decode_q_.high_water()),
-                  decode_q_.total_pushed()},
-      StageReport{"signature", sig_items_, sig_busy_,
-                  static_cast<int>(sig_q_.high_water()),
-                  sig_q_.total_pushed()},
-      StageReport{"sbd", sbd_items_, sbd_busy_,
-                  static_cast<int>(event_q_.high_water()),
-                  event_q_.total_pushed()},
+                  decoded_high_water_,
+                  static_cast<uint64_t>(frames_decoded_)},
+      StageReport{"signature", sig_items_, sig_busy_, signed_high_water_,
+                  static_cast<uint64_t>(sig_items_)},
+      StageReport{"sbd", sbd_items_, sbd_busy_, 0, 0},
       StageReport{"finalize", fin_items_, fin_busy_, 0, 0},
   };
 
@@ -343,9 +301,6 @@ Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
     report_.cancelled = true;
     result.report = report_;
     return result;
-  }
-  if (!saw_finish_) {
-    return Status::Internal("pipeline stopped without finishing the stream");
   }
   if (signs_.frame_count() == 0) {
     return Status::InvalidArgument("source produced no frames");
@@ -360,163 +315,82 @@ Result<PipelineResult> Pipeline::Runner::Execute(FrameSource* source,
   return result;
 }
 
-Status Pipeline::Runner::DecodeStage(FrameSource* source, int start_frame) {
-  const int total = source->frame_count();
-  for (int frame = start_frame; frame < total; ++frame) {
-    if (ShouldStop()) break;
-    Stopwatch sw;
-    Result<Frame> pixels = source->Next();
-    decode_busy_ += sw.ElapsedSeconds();
-    if (!pixels.ok()) return Fail(pixels.status());
-    ++frames_decoded_;
-    NoteInFlight(+1);
-    if (!decode_q_.Push(DecodedFrame{frame, std::move(*pixels)})) {
-      NoteInFlight(-1);  // dropped: the queue was closed under us
-      break;
-    }
-    if (options_.dispatcher != nullptr) options_.dispatcher->NotifyWork();
-  }
-  decode_q_.Close();
-  return Status::Ok();
-}
-
-Status Pipeline::Runner::SignatureStage() {
-  DecodedFrame item;
-  double busy = 0;
-  long count = 0;
-  // One pyramid workspace per signature worker: the geometry is fixed for
-  // the whole run, so every frame after the first reduces with zero
-  // allocations of scratch.
-  PyramidWorkspace workspace;
-  Status result = Status::Ok();
-  while (decode_q_.Pop(&item)) {
-    Stopwatch sw;
-    Result<FrameSignature> sig =
-        ComputeFrameSignature(item.pixels, geometry_, &workspace);
-    busy += sw.ElapsedSeconds();
-    item.pixels = Frame();  // the pixels die here
-    NoteInFlight(-1);
-    if (!sig.ok()) {
-      result = Fail(sig.status());
-      break;
-    }
-    ++count;
-    if (!sig_q_.Push(SigItem{item.frame, std::move(*sig)})) break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    sig_busy_ += busy;
-    sig_items_ += count;
-  }
-  // Last worker out closes the downstream queue.
-  if (sig_workers_left_.fetch_sub(1) == 1) sig_q_.Close();
-  return result;
-}
-
-Status Pipeline::Runner::SbdStage(int start_frame) {
-  // Fan-out reorder buffer: signature workers finish out of order; the
-  // detector needs frames in order. Holds at most signature_threads items.
-  std::map<int, FrameSignature> pending;
-  int next = start_frame;
-  SigItem item;
+Status Pipeline::Runner::Sequence(int start_frame) {
   std::vector<StreamingShotDetector::ClosedShot> closed;
-  bool open = true;
-  while (open && sig_q_.Pop(&item)) {
-    pending.emplace(item.frame, std::move(item.sig));
-    for (auto it = pending.find(next); it != pending.end() && open;
-         it = pending.find(next)) {
-      Stopwatch sw;
-      closed.clear();
-      detector_.PushFrame(it->second, &closed);
-      sbd_busy_ += sw.ElapsedSeconds();
-      ++sbd_items_;
-      SbdEvent signs;
-      signs.kind = SbdEvent::Kind::kFrameSigns;
-      signs.frame = next;
-      // The detector copied what it keeps; hand the full signature on.
-      signs.sig = std::move(it->second);
-      pending.erase(it);
-      ++next;
-      open = event_q_.Push(std::move(signs));
-      for (const auto& c : closed) {
-        if (!open) break;
-        SbdEvent ev;
-        ev.kind = SbdEvent::Kind::kShotClosed;
-        ev.shot = c.shot;
-        ev.stats = c.stats_at_close;
-        open = event_q_.Push(std::move(ev));
-      }
+  for (int frame = start_frame; frame < end_frame_; ++frame) {
+    FrameSignature sig;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      std::optional<FrameSignature>& slot =
+          window_[static_cast<size_t>(frame % capacity_)];
+      ready_cv_.wait(lock, [&] { return slot.has_value() || ShouldStop(); });
+      // On cancel/abort, sequencing further frames could publish a
+      // checkpoint the caller just cancelled; stop here instead.
+      if (ShouldStop()) return Status::Ok();
+      sig = std::move(*slot);
+      slot.reset();
+      --signed_;
+      ++next_seq_;
     }
-  }
-  if (open && !ShouldStop()) {
+    NotifyWork();
+
     Stopwatch sw;
     closed.clear();
-    detector_.Finish(&closed);
+    detector_.PushFrame(sig, &closed);
     sbd_busy_ += sw.ElapsedSeconds();
-    for (const auto& c : closed) {
-      if (!open) break;
-      SbdEvent ev;
-      ev.kind = SbdEvent::Kind::kShotClosed;
-      ev.shot = c.shot;
-      ev.stats = c.stats_at_close;
-      open = event_q_.Push(std::move(ev));
-    }
-    if (open) {
-      SbdEvent fin;
-      fin.kind = SbdEvent::Kind::kFinish;
-      fin.stats = detector_.stage_stats();
-      event_q_.Push(std::move(fin));
-    }
-  }
-  event_q_.Close();
-  return Status::Ok();
-}
+    ++sbd_items_;
 
-Status Pipeline::Runner::FinalizeStage() {
-  SbdEvent event;
-  // On cancel/abort the queue still drains (Pop keeps returning items after
-  // Close), but processing them could publish a checkpoint the caller just
-  // cancelled — stop at the first opportunity instead.
-  while (!ShouldStop() && event_q_.Pop(&event)) {
-    Stopwatch sw;
-    Status handled = HandleEvent(event);
+    // The detector copied what it keeps; the full signature, including the
+    // signature line the catalog codec persists and the frame index
+    // tokenizes, goes into the entry.
+    sw.Reset();
+    signs_.frames.push_back(std::move(sig));
+    ++report_.frames;
+    if (options_.progress_callback) {
+      options_.progress_callback(report_.frames);
+    }
     fin_busy_ += sw.ElapsedSeconds();
     ++fin_items_;
-    if (!handled.ok()) return Fail(handled);
+    VDB_RETURN_IF_ERROR(CloseShots(closed));
+  }
+  if (ShouldStop()) return Status::Ok();
+  Stopwatch sw;
+  closed.clear();
+  detector_.Finish(&closed);
+  sbd_busy_ += sw.ElapsedSeconds();
+  VDB_RETURN_IF_ERROR(CloseShots(closed));
+  last_close_stats_ = detector_.stage_stats();
+  return Status::Ok();
+}
+
+Status Pipeline::Runner::CloseShots(
+    const std::vector<StreamingShotDetector::ClosedShot>& closed) {
+  for (const StreamingShotDetector::ClosedShot& c : closed) {
+    if (ShouldStop()) return Status::Ok();
+    Stopwatch sw;
+    Status status = CloseShot(c);
+    fin_busy_ += sw.ElapsedSeconds();
+    ++fin_items_;
+    VDB_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
 }
 
-Status Pipeline::Runner::HandleEvent(const SbdEvent& event) {
-  switch (event.kind) {
-    case SbdEvent::Kind::kFrameSigns: {
-      signs_.frames.push_back(event.sig);
-      ++report_.frames;
-      if (options_.progress_callback) {
-        options_.progress_callback(report_.frames);
-      }
-      return Status::Ok();
-    }
-    case SbdEvent::Kind::kShotClosed: {
-      shots_.push_back(event.shot);
-      VDB_ASSIGN_OR_RETURN(ShotFeatures features,
-                           ComputeShotFeatures(signs_, event.shot));
-      features_.push_back(features);
-      VDB_RETURN_IF_ERROR(acc_.AddShot(signs_, event.shot));
-      last_close_stats_ = event.stats;
-      ++report_.shots;
-      if (report_.first_shot_seconds < 0) {
-        report_.first_shot_seconds = run_clock_.ElapsedSeconds();
-      }
-      if (options_.shot_callback) options_.shot_callback(event.shot);
-      return MaybeCheckpoint(event.shot);
-    }
-    case SbdEvent::Kind::kFinish:
-      last_close_stats_ = event.stats;
-      saw_finish_ = true;
-      return Status::Ok();
+Status Pipeline::Runner::CloseShot(
+    const StreamingShotDetector::ClosedShot& closed) {
+  const Shot& shot = closed.shot;
+  shots_.push_back(shot);
+  VDB_ASSIGN_OR_RETURN(ShotFeatures features,
+                       ComputeShotFeatures(signs_, shot));
+  features_.push_back(features);
+  VDB_RETURN_IF_ERROR(acc_.AddShot(signs_, shot));
+  last_close_stats_ = closed.stats_at_close;
+  ++report_.shots;
+  if (report_.first_shot_seconds < 0) {
+    report_.first_shot_seconds = run_clock_.ElapsedSeconds();
   }
-  return Status::Internal("unhandled pipeline event");
+  if (options_.shot_callback) options_.shot_callback(shot);
+  return MaybeCheckpoint(shot);
 }
 
 Status Pipeline::Runner::MaybeCheckpoint(const Shot& shot) {
@@ -644,8 +518,6 @@ Result<PipelineResult> Pipeline::RunInternal(FrameSource* source,
     }
     runner_ = &runner;
   }
-  // A cancel that raced ahead of the launch still wins.
-  if (cancel_requested_.load()) runner.CloseAll();
   Result<PipelineResult> result = runner.Execute(source, resume);
   {
     std::lock_guard<std::mutex> lock(runner_mu_);
@@ -657,7 +529,7 @@ Result<PipelineResult> Pipeline::RunInternal(FrameSource* source,
 void Pipeline::Cancel() {
   cancel_requested_.store(true);
   std::lock_guard<std::mutex> lock(runner_mu_);
-  if (runner_ != nullptr) runner_->CloseAll();
+  if (runner_ != nullptr) runner_->Wake();
 }
 
 }  // namespace stream

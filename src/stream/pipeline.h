@@ -30,12 +30,14 @@ struct PipelineOptions {
   // lives in `publish_dir` or the equivalence guarantees are off.
   VideoDatabaseOptions database;
 
-  // Capacity of each inter-stage queue. Together with signature_threads
-  // this bounds how many decoded frames exist at once: the pipeline's peak
-  // pixel memory is O(queue_capacity x frame), independent of clip length.
+  // Frames in flight: the reorder window's slots. A frame is decoded only
+  // while it is fewer than queue_capacity frames ahead of the next frame
+  // to sequence, so the pipeline's peak pixel memory is
+  // O(queue_capacity x frame), independent of clip length.
   int queue_capacity = 8;
 
-  // Fan-out of the signature stage (the only pixel-crunching stage).
+  // Solo runs start signature_threads + 1 worker threads, each of which
+  // decodes and signs one frame per step.
   int signature_threads = 1;
 
   // Checkpoint cadence: publish after every N closed shots and/or every M
@@ -54,30 +56,33 @@ struct PipelineOptions {
   // the server RELOAD. Unset = never publish: Run() only returns the entry.
   std::function<Result<PublishReceipt>(const CatalogEntry&)> publish;
 
-  // External signature dispatch (the ingest farm): when set, the pipeline
-  // spawns no signature workers of its own — it attaches a work source to
-  // this dispatcher at run start, and the dispatcher's shared workers call
+  // External dispatch (the ingest farm): when set, the pipeline starts no
+  // worker threads of its own. It attaches itself as a work source to this
+  // dispatcher for the run, and the dispatcher's shared workers call
   // ProcessOne until the stream drains. signature_threads is ignored.
   SignatureDispatcher* dispatcher = nullptr;
 
-  // Live progress hook: called from the finalize stage after each in-order
-  // frame with the count of frames finalized so far. The farm's lag
-  // tracker and fairness metrics hang off this.
+  // Live progress hook: called on the sequencer after each in-order frame
+  // with the count of frames finalized so far. The farm's lag tracker and
+  // fairness metrics hang off this.
   std::function<void(int frames_done)> progress_callback;
 
-  // Test hooks: called from the finalize stage as each shot closes /
-  // checkpoint publishes (generation, shots covered).
+  // Test hooks: called on the sequencer as each shot closes / checkpoint
+  // publishes (generation, shots covered).
   std::function<void(const Shot&)> shot_callback;
   std::function<void(uint64_t generation, int shots)> checkpoint_callback;
 };
 
-// Per-stage accounting for one run.
+// Per-stage accounting for one run. The queue fields of the decode and
+// signature entries describe the reorder window: frames decoded but not yet
+// signed, and frames signed but not yet sequenced. The sbd and finalize
+// entries have none.
 struct StageReport {
   std::string name;
-  long items = 0;           // frames (or events) the stage processed
-  double busy_seconds = 0;  // time spent working, excluding queue waits
-  int queue_high_water = 0;  // peak depth of the stage's *output* queue
-  uint64_t queue_total = 0;  // items ever pushed through that queue
+  long items = 0;           // frames (finalize: frames and shots) handled
+  double busy_seconds = 0;  // time spent working, excluding waits
+  int queue_high_water = 0;  // peak number of frames in that window state
+  uint64_t queue_total = 0;  // frames that ever entered it
 };
 
 struct PipelineReport {
@@ -95,8 +100,9 @@ struct PipelineReport {
 
   std::vector<StageReport> stages;
 
-  // Peak number of decoded frames alive in the pipeline at once. Bounded
-  // by queue_capacity + signature_threads + 1 (asserted in tests).
+  // Peak number of decoded frames alive in the pipeline at once: each is
+  // held by one worker's step, and each has a window slot, so this is at
+  // most min(queue_capacity, workers).
   int max_frames_in_flight = 0;
 
   // Resume() only: how much of the clip was skipped.
@@ -114,34 +120,35 @@ struct PipelineResult {
 };
 
 // The streaming ingest pipeline (the paper's Section 6 "still a long way
-// from real time" motivates it): decode → signature → SBD → finalize
-// stages connected by bounded MPMC queues, so a clip of any length is
-// analysed in bounded memory with shots, scene tree and index rows
-// materialising incrementally, and the catalog publishable mid-ingest.
+// from real time" motivates it): a clip of any length is analysed in
+// bounded memory with shots, scene tree and index rows materialising
+// incrementally, and the catalog publishable mid-ingest.
 //
-//   decode ──q──> signature (xN) ──q──> SBD ──q──> finalize
+//   workers (solo threads or the farm's)     thread that called Run
+//   step: decode f ─> sign f ──> window[f % queue_capacity] ──> sequencer
 //
-// * decode pulls FrameSource sequentially (the only stage touching it);
-// * signature workers run ComputeFrameSignature — pixels die here;
-// * SBD reorders fan-out results and feeds StreamingShotDetector;
-// * finalize appends signs, computes per-shot features, grows the scene
-//   tree (SceneTreeAccumulator), and hands a checkpoint entry to the
-//   publish hook when due.
+// * a step (ProcessOne) claims the next frame, decodes it while holding
+//   the claim (the source is read by one thread at a time, in order),
+//   then computes its signature outside it — pixels die here;
+// * the sequencer takes the window's slots in frame order and runs, as
+//   direct calls, StreamingShotDetector, per-shot features, the scene
+//   tree (SceneTreeAccumulator) and, when due, a checkpoint publish.
 //
 // The result is bit-identical to batch ingest of the same clip — same
-// shots, stats, features, tree — because every stage is a streaming
-// refactor of the batch code path, not a reimplementation.
+// shots, stats, features, tree — because every step is a streaming
+// refactor of the batch code path, not a reimplementation, and the window
+// puts frames back in order whatever order workers finish in.
 //
 // A Pipeline object runs once (Run or Resume); Cancel() may be called from
-// any thread while it runs. Cancelling abandons the open shot: the store
-// is left at the last published generation, and the returned report has
-// cancelled = true with an empty entry.
+// any thread while it runs, a shot_callback included. Cancelling abandons
+// the open shot: the store is left at the last published generation, and
+// the returned report has cancelled = true with an empty entry.
 class Pipeline {
  public:
   explicit Pipeline(PipelineOptions options);
 
   // Analyses `source` from frame 0. Blocks until done, cancelled, or a
-  // stage fails.
+  // step fails; the first failure is the run's error.
   Result<PipelineResult> Run(FrameSource* source);
 
   // Continues a previous, interrupted run of the same clip: opens
@@ -154,8 +161,9 @@ class Pipeline {
   // the kill-sweep test in tests/stream).
   Result<PipelineResult> Resume(FrameSource* source);
 
-  // Cooperative cancellation: wakes every stage and makes Run()/Resume()
-  // return with report.cancelled = true. Safe from any thread, idempotent.
+  // Cooperative cancellation: wakes the sequencer and the workers and
+  // makes Run()/Resume() return with report.cancelled = true. Safe from
+  // any thread, idempotent.
   void Cancel();
 
  private:

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -185,10 +187,13 @@ TEST(FarmFairnessTest, SkewedLoadKeepsPerStreamProgressBounded) {
 
 // Weights through the full pipeline stack: two copies of the same clip at
 // weights 3:1. The exact 3:1 service ratio is proven deterministically in
-// dispatcher_test (where the worker is the bottleneck by construction);
-// end-to-end the bottleneck can move to the decode stage under machine
-// load, so here the claim is the load-robust envelope — neither copy is
-// starved at the first finish, and both converge to completion.
+// dispatcher_test (where the worker is the bottleneck by construction).
+// End to end, decode is no longer outside the dispatcher — each step
+// decodes and signs one frame — but a tenant also waits on its own
+// sequencer to free window slots, and under machine load that thread can
+// be the bottleneck. So here the claim is the load-robust envelope —
+// neither copy is starved at the first finish, and both converge to
+// completion.
 TEST(FarmFairnessTest, WeightsBiasServiceWithoutStarvation) {
   const Video& base = PresetVideo(TenShotStoryboard());
   Video heavy = RenamedCopy(base, "heavy");
@@ -374,8 +379,9 @@ TEST(FarmShedTest, ShedsLowestWeightFirstThenResumeConverges) {
   EXPECT_EQ(EntryBytesByName(**final_db), expected);
 }
 
-// Kill the farm mid-flight from another thread, then Resume(): every
-// tenant is re-admitted (with or without a checkpoint) and the final
+// Kill the farm mid-flight — from inside the first checkpoint's callback,
+// so the cancel always lands while tenants are running — then Resume():
+// every tenant is re-admitted (with or without a checkpoint) and the final
 // catalog is byte-identical to an uninterrupted run's.
 TEST(FarmShedTest, CancelMidFarmThenResumeConverges) {
   const Video& base = PresetVideo(TenShotStoryboard());
@@ -393,24 +399,26 @@ TEST(FarmShedTest, CancelMidFarmThenResumeConverges) {
   options.queue_capacity = 2;
   options.publish_dir = dir;
   options.checkpoint_every_shots = 1;  // give the kill checkpoints to keep
+  // Cancel is idempotent: the first checkpoint cancels the farm, and a
+  // checkpoint already in flight on the other tenant changes nothing.
+  StreamFarm* killable = nullptr;
+  options.checkpoint_callback = [&killable](int, uint64_t) {
+    killable->Cancel();
+  };
   StreamFarm farm(options);
+  killable = &farm;
 
   std::vector<StreamSpec> specs;
   specs.push_back(SpecFor(first));
   specs.push_back(SpecFor(second));
-
-  std::thread killer([&farm] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    farm.Cancel();
-  });
   Result<FarmReport> report = farm.Run(std::move(specs));
-  killer.join();
   ASSERT_TRUE(report.ok()) << report.status();
   // Whatever mix of cancelled/finished resulted, nothing failed.
   EXPECT_EQ(report->final_metrics.failed, 0);
 
   FarmOptions resume_options = options;
   resume_options.checkpoint_every_shots = 0;
+  resume_options.checkpoint_callback = nullptr;
   StreamFarm resumed(resume_options);
   std::vector<StreamSpec> resume_specs;
   resume_specs.push_back(SpecFor(first));
@@ -523,6 +531,58 @@ TEST(FarmMetricsTest, QueueCountersCheckpointsAndInFlightBoundAddUp) {
               static_cast<uint64_t>(video.frame_count()))
         << sm.name;
   }
+}
+
+// The live thread count of this process, from /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+// A farm tenant starts no threads of its own: every frame is decoded and
+// signed on the shared workers, and the tenant's sequencer runs on the
+// farm thread that called Pipeline::Run. While checkpoints publish, the
+// process holds the test thread, one thread per tenant and the workers,
+// with a little slack; a per-tenant stage pool would add at least three
+// threads for the tenant whose checkpoint is being reported.
+TEST(FarmMetricsTest, TenantsStartNoThreadsOfTheirOwn) {
+  const Video& video = PresetVideo(TenShotStoryboard());
+  constexpr int kTenants = 6;
+  constexpr int kWorkers = 2;
+
+  FarmOptions options;
+  options.signature_workers = kWorkers;
+  options.publish_dir = FreshDir("threads");
+  options.checkpoint_every_shots = 2;
+  std::atomic<int> checkpoints{0};
+  std::atomic<int> peak_threads{0};
+  options.checkpoint_callback = [&](int, uint64_t) {
+    checkpoints.fetch_add(1);
+    const int now = ProcessThreads();
+    int seen = peak_threads.load();
+    while (now > seen && !peak_threads.compare_exchange_weak(seen, now)) {
+    }
+  };
+  StreamFarm farm(options);
+
+  std::vector<StreamSpec> specs;
+  for (int t = 0; t < kTenants; ++t) {
+    const std::string name = "threads-" + std::to_string(t);
+    specs.push_back(SpecFor(RenamedCopy(video, name)));
+  }
+  Result<FarmReport> report = farm.Run(std::move(specs));
+  ASSERT_TRUE(report.ok()) << report.status();
+  for (const StreamOutcome& outcome : report->streams) {
+    EXPECT_EQ(outcome.state, StreamState::kFinished) << outcome.name;
+  }
+
+  ASSERT_GT(checkpoints.load(), 0);
+  EXPECT_GT(peak_threads.load(), 0);
+  EXPECT_LE(peak_threads.load(), 1 + kTenants + kWorkers + 2);
 }
 
 // A frame source that holds its first Next() until released, so a test

@@ -42,7 +42,7 @@ constexpr char kUsage[] =
     "usage: vdbstream (--file <clip.vdb> | --preset <name>) [options]\n"
     "  --scale S               preset render scale (default 0.1)\n"
     "  --seed N                preset render seed (default 2000)\n"
-    "  --queue-capacity N      bounded-queue depth per stage (default 8)\n"
+    "  --queue-capacity N      frames in flight per stream (default 8)\n"
     "  --threads N             signature-stage worker fan-out (default 1)\n"
     "  --checkpoint-every N    publish after every N closed shots\n"
     "  --checkpoint-seconds M  publish after every M media-seconds\n"

@@ -1,16 +1,17 @@
 // vdbstream — streaming ingest front end for the video database library.
 //
 // Runs the stream::Pipeline over a .vdb file or a synthetic preset:
-// frame-at-a-time decode, bounded-queue stages, incremental SBD / scene
-// tree / features, and optional checkpointed publishes into a catalog
-// store so a vdbserve instance can answer queries mid-ingest.
+// frame-at-a-time decode and signature on worker threads, a bounded reorder
+// window, incremental SBD / scene tree / features, and optional
+// checkpointed publishes into a catalog store so a vdbserve instance can
+// answer queries mid-ingest.
 //
 //   vdbstream --file clip.vdb --publish-to store/ --checkpoint-every 4
 //   vdbstream --preset friends --publish-to store/ --reload 127.0.0.1:7711
 //   vdbstream --file clip.vdb --publish-to store/ --resume
 //
 // With --streams or --preset-mix it becomes a multi-tenant ingest farm
-// (farm::StreamFarm): N pipelines share one signature-worker pool under
+// (farm::StreamFarm): N pipelines share one worker pool under
 // weighted-fair scheduling, and all checkpoints funnel through a single
 // committer into one store.
 //
@@ -45,7 +46,7 @@ int Usage() {
       "usage: vdbstream (--file <clip.vdb> | --preset <name>) [options]\n"
       "  --scale S               preset render scale (default 0.1)\n"
       "  --seed N                preset render seed (default 2000)\n"
-      "  --queue-capacity N      bounded-queue depth per stage (default 8)\n"
+      "  --queue-capacity N      frames in flight per stream (default 8)\n"
       "  --threads N             signature-stage worker fan-out (default 1)\n"
       "  --checkpoint-every N    publish after every N closed shots\n"
       "  --checkpoint-seconds M  publish after every M media-seconds\n"
