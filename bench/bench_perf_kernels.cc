@@ -12,8 +12,8 @@
 // On top of the static Reference/Kernel pairs (which run at the startup
 // dispatch level — the best the host supports, or VDB_SIMD), main()
 // registers one family per *available* SIMD level (BM_ReduceRows_scalar,
-// BM_ShiftMatch_avx2, BM_FrameSignature_sse4, ...) so a single run
-// quantifies each hand-vectorized level against the scalar baseline. The
+// BM_ShiftMatch_avx2, BM_FrameSignature_avx2, ...) so a single run
+// quantifies the hand-vectorized level against the scalar baseline. The
 // selected level and the build type are printed and recorded as benchmark
 // context (vdb_build_type / simd_level / simd_levels_available).
 

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,8 +30,17 @@
 namespace vdb {
 namespace {
 
-// The 22 Table-5 presets ingested once and saved as a store under a
-// per-process scratch directory so concurrent bench runs cannot collide.
+// Per-process scratch directories, so concurrent bench runs cannot
+// collide; main() removes both after the run.
+std::string ScratchDir() {
+  return StrFormat("/tmp/vdb_bench_store_%d", static_cast<int>(getpid()));
+}
+std::string PublishDir() {
+  return StrFormat("/tmp/vdb_bench_store_pub_%d", static_cast<int>(getpid()));
+}
+
+// The 22 Table-5 presets ingested once and saved as a store under
+// ScratchDir().
 struct Fixture {
   std::unique_ptr<VideoDatabase> db;
   std::string store_dir;
@@ -57,8 +67,7 @@ const Fixture& SavedCatalogs() {
       f->total_shots += static_cast<int64_t>(entry->shots.size());
     }
 
-    std::string scratch =
-        StrFormat("/tmp/vdb_bench_store_%d", static_cast<int>(getpid()));
+    std::string scratch = ScratchDir();
     Status made = CreateDirIfMissing(scratch);
     if (!made.ok()) bench::OrDie(Result<int>(made), "create scratch dir");
     f->store_dir = scratch + "/table5.store";
@@ -94,8 +103,7 @@ BENCHMARK(BM_ColdOpenStore)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Save really publishes a change.
 void BM_IncrementalPublish(benchmark::State& state) {
   const Fixture& f = SavedCatalogs();
-  std::string dir =
-      StrFormat("/tmp/vdb_bench_store_pub_%d", static_cast<int>(getpid()));
+  std::string dir = PublishDir();
   VideoDatabase db;
   for (int id = 0; id < f.db->video_count(); ++id) {
     const CatalogEntry* entry = bench::OrDie(f.db->GetEntry(id), "get entry");
@@ -126,4 +134,13 @@ BENCHMARK(BM_IncrementalPublish)->Unit(benchmark::kMillisecond)->UseRealTime();
 }  // namespace
 }  // namespace vdb
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  std::error_code ignored;
+  std::filesystem::remove_all(vdb::ScratchDir(), ignored);
+  std::filesystem::remove_all(vdb::PublishDir(), ignored);
+  return 0;
+}

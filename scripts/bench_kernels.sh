@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Kernel-layer perf: reference (double, per-column, allocating) vs.
 # optimized (fixed-point, planar, allocation-free) signature kernels, plus
-# the shift-match scan and one family per available SIMD dispatch level
+# the shift-match scan and one family per available SIMD dispatch level:
+# scalar always, avx2 (the one vector level) on AVX2 hosts
 # (BM_ReduceRows_<level>, BM_ShiftMatch_<level>, BM_FrameSignature_<level>).
 # Writes BENCH_kernels.json (google-benchmark JSON) at the repo root. The
 # acceptance bars: >= 3x single-thread speedup of
 # BM_FrameSignature_Kernel/160 over BM_FrameSignature_Reference/160, and
-# >= 1.5x of an AVX2 family over its scalar counterpart on AVX2 hosts.
+# >= 1.5x of the avx2 BM_ReduceRows family over its scalar counterpart on
+# AVX2 hosts.
 #
 #   scripts/bench_kernels.sh
 #

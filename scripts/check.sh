@@ -147,15 +147,14 @@ for stage in "${STAGES[@]}"; do
     simd)
       # The SIMD dispatch battery: the whole kernels label (bit-exactness
       # vs. reference, per-level equivalence, all 22 presets end to end)
-      # re-run once per dispatch level this host supports, forced via
-      # VDB_SIMD, under ASan — unaligned loads, overlapped vector tails
-      # and the in-place horizontal sweeps are exactly where an
-      # out-of-bounds read would hide. ctest propagates the environment
-      # to every test binary.
+      # re-run for scalar and, where the host has it, the one vector level
+      # (avx2), forced via VDB_SIMD, under ASan — unaligned loads, overlapped
+      # vector tails and the in-place horizontal sweeps are exactly where an
+      # out-of-bounds read would hide. ctest propagates the environment to
+      # every test binary.
       banner "simd leg: asan build + kernels suites per dispatch level"
       configure_and_build build-asan address
       levels="scalar"
-      if grep -qw sse4_1 /proc/cpuinfo; then levels="$levels sse4"; fi
       if grep -qw avx2 /proc/cpuinfo; then levels="$levels avx2"; fi
       for level in $levels; do
         banner "simd leg: VDB_SIMD=$level"

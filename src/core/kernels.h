@@ -40,11 +40,11 @@ namespace vdb {
 //    time by sweeping rows (not gathering columns), so loads are
 //    contiguous and the inner loops vectorize.
 //  * The hot loops (row reduce, deinterleave, per-shift match mask)
-//    dispatch at runtime to hand-written AVX2 / SSE4.1 / scalar variants
-//    (core/kernels/simd.h: CPUID probe once, per-kernel function pointers,
-//    VDB_SIMD / SetSimdLevel override). Every level computes identical
-//    fixed-point integer math, so the output bytes never depend on the
-//    selected level — only the schedule does.
+//    dispatch at runtime to a hand-written AVX2 variant or the scalar
+//    reference (core/kernels/simd.h: CPUID probe once, per-kernel function
+//    pointers, VDB_SIMD / SetSimdLevel override). Both levels compute
+//    identical fixed-point integer math, so the output bytes never depend
+//    on the selected level — only the schedule does.
 //
 // The bit-exactness contract is enforced by kernels_test (property tests
 // over randomized geometries plus all 22 Table-5 presets end to end), by

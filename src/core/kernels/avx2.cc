@@ -1,12 +1,14 @@
-// AVX2 dispatch level. Compiled with -mavx2 in its own translation unit;
-// only reached when CPUID reports AVX2 (core/kernels/simd.cc).
+// AVX2 dispatch level, the one hand-written vector level. Compiled with
+// -mavx2 in its own translation unit; only reached when CPUID reports AVX2
+// (core/kernels/simd.cc). Hosts without AVX2 run the scalar level.
 //
-// Same fixed-point math as the scalar level at 32 byte lanes (16 u16
-// lanes where the 5-tap sum needs headroom), so the output is
-// byte-identical; only the schedule changes. All loads unaligned; tails
-// use an overlapped final vector where outputs are pure and non-aliasing
-// (recomputing the same bytes is exact), the inline scalar bodies
-// elsewhere.
+// Same fixed-point math as the scalar level, so the output is
+// byte-identical; only the schedule changes. The row reduces use 32 byte
+// lanes (16 u16 lanes where the 5-tap sum needs headroom); deinterleave
+// and the shift-match mask use VEX-encoded 128-bit lanes (reasons at each
+// function). All loads unaligned; tails use an overlapped final
+// vector where outputs are pure and non-aliasing (recomputing the same
+// bytes is exact), the inline scalar bodies elsewhere.
 
 #include "core/kernels/kernel_ops.h"
 
@@ -194,74 +196,65 @@ void DeinterleaveRgbAvx2(const PixelRGB* src, int n, uint8_t* r, uint8_t* g,
   }
 }
 
+// Match bytes (1 if max(|ar-br|, |ag-bg|, |ab-bb|) <= tol, else 0) for the
+// 16 pixels at offset i.
+inline __m128i MatchOnes16(const uint8_t* ar, const uint8_t* ag,
+                           const uint8_t* ab, const uint8_t* br,
+                           const uint8_t* bg, const uint8_t* bb, int i,
+                           __m128i tolv) {
+  __m128i var = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ar + i));
+  __m128i vbr = _mm_loadu_si128(reinterpret_cast<const __m128i*>(br + i));
+  __m128i vag = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ag + i));
+  __m128i vbg = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bg + i));
+  __m128i vab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ab + i));
+  __m128i vbb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bb + i));
+  // |x - y| for unsigned bytes: saturating differences in both
+  // directions, one of which is zero.
+  __m128i dr = _mm_or_si128(_mm_subs_epu8(var, vbr), _mm_subs_epu8(vbr, var));
+  __m128i dg = _mm_or_si128(_mm_subs_epu8(vag, vbg), _mm_subs_epu8(vbg, vag));
+  __m128i db = _mm_or_si128(_mm_subs_epu8(vab, vbb), _mm_subs_epu8(vbb, vab));
+  __m128i dm = _mm_max_epu8(_mm_max_epu8(dr, dg), db);
+  // dm <= tol  <=>  min(dm, tol) == dm (unsigned bytes).
+  __m128i hit = _mm_cmpeq_epi8(_mm_min_epu8(dm, tolv), dm);
+  return _mm_and_si128(hit, _mm_set1_epi8(1));
+}
+
+// 128-bit lanes on purpose: shift overlaps shrink by one pixel per shift,
+// so every remainder mod 32 is equally common and a 256-bit main loop only
+// moves work into its tails. The sub-16 remainder is one overlapped final
+// vector rather than a scalar loop; overlaps below 16 pixels run scalar.
 int MatchMaskTotalAvx2(const uint8_t* ar, const uint8_t* ag,
                        const uint8_t* ab, const uint8_t* br,
                        const uint8_t* bg, const uint8_t* bb, int overlap,
                        uint8_t tol, uint8_t* m) {
-  const __m256i tolv = _mm256_set1_epi8(static_cast<char>(tol));
-  const __m256i one = _mm256_set1_epi8(1);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
+  if (overlap < 16) {
+    return MatchMaskTotalScalar(ar, ag, ab, br, bg, bb, overlap, tol, m);
+  }
+  const __m128i tolv = _mm_set1_epi8(static_cast<char>(tol));
+  const __m128i zero = _mm_setzero_si128();
+  __m128i acc = zero;
   int i = 0;
-  for (; i + 32 <= overlap; i += 32) {
-    __m256i var =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ar + i));
-    __m256i vbr =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(br + i));
-    __m256i vag =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ag + i));
-    __m256i vbg =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bg + i));
-    __m256i vab =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ab + i));
-    __m256i vbb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bb + i));
-    __m256i dr = _mm256_or_si256(_mm256_subs_epu8(var, vbr),
-                                 _mm256_subs_epu8(vbr, var));
-    __m256i dg = _mm256_or_si256(_mm256_subs_epu8(vag, vbg),
-                                 _mm256_subs_epu8(vbg, vag));
-    __m256i db = _mm256_or_si256(_mm256_subs_epu8(vab, vbb),
-                                 _mm256_subs_epu8(vbb, vab));
-    __m256i dm = _mm256_max_epu8(_mm256_max_epu8(dr, dg), db);
-    __m256i hit = _mm256_cmpeq_epi8(_mm256_min_epu8(dm, tolv), dm);
-    __m256i ones = _mm256_and_si256(hit, one);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(m + i), ones);
-    // Byte-popcount via psadbw: the 0/1 bytes sum into four u64 lanes.
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(ones, zero));
-  }
-  __m128i sum = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-  // One 128-bit step before the scalar tail: shift overlaps shrink by one
-  // pixel per shift, so sub-32 remainders are the common case, not the
-  // exception.
-  if (i + 16 <= overlap) {
-    const __m128i tolv128 = _mm_set1_epi8(static_cast<char>(tol));
-    const __m128i one128 = _mm_set1_epi8(1);
-    const __m128i zero128 = _mm_setzero_si128();
-    __m128i var = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ar + i));
-    __m128i vbr = _mm_loadu_si128(reinterpret_cast<const __m128i*>(br + i));
-    __m128i vag = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ag + i));
-    __m128i vbg = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bg + i));
-    __m128i vab = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ab + i));
-    __m128i vbb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bb + i));
-    __m128i dr =
-        _mm_or_si128(_mm_subs_epu8(var, vbr), _mm_subs_epu8(vbr, var));
-    __m128i dg =
-        _mm_or_si128(_mm_subs_epu8(vag, vbg), _mm_subs_epu8(vbg, vag));
-    __m128i db =
-        _mm_or_si128(_mm_subs_epu8(vab, vbb), _mm_subs_epu8(vbb, vab));
-    __m128i dm = _mm_max_epu8(_mm_max_epu8(dr, dg), db);
-    __m128i hit = _mm_cmpeq_epi8(_mm_min_epu8(dm, tolv128), dm);
-    __m128i ones = _mm_and_si128(hit, one128);
+  for (; i + 16 <= overlap; i += 16) {
+    __m128i ones = MatchOnes16(ar, ag, ab, br, bg, bb, i, tolv);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(m + i), ones);
-    sum = _mm_add_epi64(sum, _mm_sad_epu8(ones, zero128));
-    i += 16;
+    // Byte-popcount via psadbw: the 0/1 bytes sum into two u64 halves.
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(ones, zero));
   }
-  int total = static_cast<int>(_mm_extract_epi64(sum, 0) +
-                               _mm_extract_epi64(sum, 1));
-  total += MatchMaskTotalScalar(ar + i, ag + i, ab + i, br + i, bg + i,
-                                bb + i, overlap - i, tol, m + i);
-  return total;
+  if (i < overlap) {
+    // Overlapped tail: redo the last 16 pixels. Each mask byte is a pure
+    // function of its pixel pair and m does not alias the inputs, so the
+    // re-stored bytes are identical; only lanes at or past i are counted.
+    const int last = overlap - 16;
+    __m128i ones = MatchOnes16(ar, ag, ab, br, bg, bb, last, tolv);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(m + last), ones);
+    const __m128i lane =
+        _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    const __m128i fresh =
+        _mm_cmpgt_epi8(lane, _mm_set1_epi8(static_cast<char>(i - last - 1)));
+    acc = _mm_add_epi64(acc, _mm_sad_epu8(_mm_and_si128(ones, fresh), zero));
+  }
+  return static_cast<int>(_mm_extract_epi64(acc, 0) +
+                          _mm_extract_epi64(acc, 1));
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 #include "video/pixel.h"
 
 // Internal seam between the kernel drivers (core/kernels/kernels.cc) and
-// the per-ISA translation units. Each dispatch level provides one KernelOps
-// table; core/kernels/simd.cc owns the level selection and hands the hot
-// paths a table through ActiveOps(). Not installed as public API — include
+// the per-ISA translation units. Each dispatch level (scalar, and AVX2
+// where it is compiled in) provides one KernelOps table;
+// core/kernels/simd.cc owns the level selection and hands the hot paths a
+// table through ActiveOps(). Not installed as public API — include
 // core/kernels.h (kernels) or core/kernels/simd.h (dispatch) instead.
 //
 // Contract shared by every implementation, enforced per level by
@@ -38,6 +39,7 @@ struct KernelOps {
 
   // Writes m[i] = 1 if max(|ar[i]-br[i]|, |ag[i]-bg[i]|, |ab[i]-bb[i]|)
   // <= tol else 0, for i in [0, overlap); returns the number of ones.
+  // m does not overlap the inputs.
   int (*match_mask_total)(const uint8_t* ar, const uint8_t* ag,
                           const uint8_t* ab, const uint8_t* br,
                           const uint8_t* bg, const uint8_t* bb, int overlap,
@@ -45,9 +47,6 @@ struct KernelOps {
 };
 
 extern const KernelOps kScalarOps;
-#ifdef VDB_KERNELS_HAVE_SSE4
-extern const KernelOps kSse4Ops;
-#endif
 #ifdef VDB_KERNELS_HAVE_AVX2
 extern const KernelOps kAvx2Ops;
 #endif
@@ -57,8 +56,8 @@ extern const KernelOps kAvx2Ops;
 const KernelOps& ActiveOps();
 
 // ---------------------------------------------------------------------------
-// Scalar bodies, inline so the vector TUs compile their own tail copies
-// under their own ISA flags. These ARE the PR-5 kernels: kScalarOps wraps
+// Scalar bodies, inline so the vector TU compiles its own tail copies
+// under its own ISA flags. These ARE the PR-5 kernels: kScalarOps wraps
 // them verbatim (compiled at -O3 in scalar.cc, where GCC's loop vectorizer
 // still auto-vectorizes them to baseline SSE2 — the "scalar" level means
 // no hand-written vectors and no post-SSE2 instructions, not no SIMD).

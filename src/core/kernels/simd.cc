@@ -10,13 +10,14 @@
 namespace vdb {
 namespace {
 
+// Every dispatch level, ascending.
+constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
+
 bool HostSupports(SimdLevel level) {
 #if defined(__x86_64__) || defined(__i386__)
   switch (level) {
     case SimdLevel::kScalar:
       return true;
-    case SimdLevel::kSse4:
-      return __builtin_cpu_supports("sse4.1");
     case SimdLevel::kAvx2:
       return __builtin_cpu_supports("avx2");
   }
@@ -30,12 +31,6 @@ const kernels::KernelOps* OpsForLevel(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return &kernels::kScalarOps;
-    case SimdLevel::kSse4:
-#ifdef VDB_KERNELS_HAVE_SSE4
-      return &kernels::kSse4Ops;
-#else
-      return nullptr;
-#endif
     case SimdLevel::kAvx2:
 #ifdef VDB_KERNELS_HAVE_AVX2
       return &kernels::kAvx2Ops;
@@ -59,8 +54,8 @@ SimdLevel InitialLevel() {
     Result<SimdLevel> parsed = ParseSimdLevel(env);
     if (!parsed.ok()) {
       std::fprintf(stderr,
-                   "vdb: ignoring VDB_SIMD='%s' (want scalar, sse4 or "
-                   "avx2); using %s\n",
+                   "vdb: ignoring VDB_SIMD='%s' (want scalar or avx2); "
+                   "using %s\n",
                    env, SimdLevelName(level));
     } else if (!IsAvailable(*parsed)) {
       std::fprintf(stderr,
@@ -96,8 +91,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse4:
-      return "sse4";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -106,17 +99,15 @@ const char* SimdLevelName(SimdLevel level) {
 
 Result<SimdLevel> ParseSimdLevel(const std::string& name) {
   if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "sse4" || name == "sse4.1") return SimdLevel::kSse4;
   if (name == "avx2") return SimdLevel::kAvx2;
   return Status::InvalidArgument("unknown SIMD level '" + name +
-                                 "' (want scalar, sse4 or avx2)");
+                                 "' (want scalar or avx2)");
 }
 
 const std::vector<SimdLevel>& AvailableSimdLevels() {
   static const std::vector<SimdLevel> levels = [] {
     std::vector<SimdLevel> out;
-    for (SimdLevel level :
-         {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+    for (SimdLevel level : kLevels) {
       if (IsAvailable(level)) out.push_back(level);
     }
     return out;
@@ -128,8 +119,7 @@ SimdLevel DetectedSimdLevel() { return AvailableSimdLevels().back(); }
 
 SimdLevel ActiveSimdLevel() {
   const kernels::KernelOps* ops = State().load(std::memory_order_relaxed);
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+  for (SimdLevel level : kLevels) {
     if (ops == OpsForLevel(level)) return level;
   }
   VDB_CHECK(false) << "active kernel table matches no dispatch level";

@@ -11,12 +11,14 @@ namespace vdb {
 // Runtime SIMD dispatch for the signature kernels (core/kernels.h).
 //
 // The hot loops — the [1 4 6 4 1]/16 row reduce, the AoS->planar
-// deinterleave, and the per-shift match mask — exist in up to three
-// hand-written variants, compiled in separate translation units with
-// per-file ISA flags (src/core/kernels/{scalar,sse4,avx2}.cc). The CPU is
-// probed once, the best compiled-and-supported level is selected, and each
-// kernel invocation pays exactly one indirect call through a per-kernel
-// function pointer table.
+// deinterleave, and the per-shift match mask — exist in two variants: the
+// scalar reference and one hand-written vector level, compiled in separate
+// translation units with per-file ISA flags
+// (src/core/kernels/{scalar,avx2}.cc). The CPU is probed once, AVX2 is
+// selected when it is compiled in and supported, and each kernel
+// invocation pays exactly one indirect call through a per-kernel function
+// pointer table. A host without AVX2 runs the scalar level, which GCC still
+// auto-vectorizes to SSE2.
 //
 // Every variant is **byte-identical** to the scalar reference: the kernels
 // are pure fixed-point integer arithmetic (the fixed-point math itself is
@@ -27,14 +29,16 @@ namespace vdb {
 // under ASan via the VDB_SIMD override.
 //
 // Override order: SetSimdLevel() (tests, benches) beats the VDB_SIMD
-// environment variable ("scalar", "sse4", "avx2"; read once at first
-// kernel use) beats CPUID auto-detection. An unknown or unsupported
-// VDB_SIMD value is ignored with a one-time warning on stderr.
+// environment variable ("scalar", "avx2"; read once at first kernel use)
+// beats CPUID auto-detection. An unknown or unsupported VDB_SIMD value is
+// ignored with a one-time warning on stderr.
 
-// Dispatch levels, ascending. kSse4 is SSE4.1; kAvx2 implies SSE4.1.
-enum class SimdLevel { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
+// Dispatch levels, ascending. The values are stable identifiers (test
+// names print them); 1 belonged to a retired 128-bit level and stays
+// unused.
+enum class SimdLevel { kScalar = 0, kAvx2 = 2 };
 
-// "scalar", "sse4", "avx2".
+// "scalar", "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 // Inverse of SimdLevelName; kInvalidArgument on anything else.

@@ -48,7 +48,10 @@ std::string TempPath(const std::string& name) {
 
 // A running cluster: one in-process backend per shard directory plus the
 // router in front. Backends can be stopped individually to fake outages.
+// The split output under `split_dir` is removed once everything serving
+// it has stopped.
 struct Cluster {
+  std::string split_dir;
   std::vector<std::string> shard_dirs;
   std::vector<std::unique_ptr<serve::Server>> backends;
   std::vector<std::unique_ptr<serve::Server>> replicas;
@@ -62,6 +65,7 @@ struct Cluster {
     for (auto& r : replicas) {
       if (r != nullptr) r->Stop();
     }
+    if (!split_dir.empty()) testsupport::RemoveTree(split_dir);
   }
 };
 
@@ -102,6 +106,7 @@ class RouterClusterTest : public testing::Test {
     auto cluster = std::make_unique<Cluster>();
     std::string out = TempPath("router_cluster_" + std::to_string(n));
     testsupport::RemoveTree(out);
+    cluster->split_dir = out;
     ShardMap map;
     map.shard_count = n;
     map.seed = kMapSeed;

@@ -1,5 +1,5 @@
 // The SIMD dispatch contract (core/kernels/simd.h): every compiled and
-// host-supported dispatch level (scalar, SSE4.1, AVX2) must produce
+// host-supported dispatch level (scalar, AVX2) must produce
 // byte-identical results — per kernel, per frame, and end to end down to
 // serialized catalog entries and their fingerprints across all 22 Table-5
 // presets. kernels_test pins the scalar level to the double-precision
@@ -25,6 +25,7 @@
 #include "core/features.h"
 #include "core/geometry.h"
 #include "core/kernels.h"
+#include "core/kernels/kernel_ops.h"
 #include "core/scene_tree.h"
 #include "core/shot_detector.h"
 #include "core/video_database.h"
@@ -137,14 +138,14 @@ TEST(SimdDispatchTest, SetLevelRoundTripsThroughEveryAvailableLevel) {
 
 TEST(SimdDispatchTest, ParseAcceptsCanonicalNamesRejectsJunk) {
   EXPECT_EQ(ParseSimdLevel("scalar").value(), SimdLevel::kScalar);
-  EXPECT_EQ(ParseSimdLevel("sse4").value(), SimdLevel::kSse4);
-  EXPECT_EQ(ParseSimdLevel("sse4.1").value(), SimdLevel::kSse4);
   EXPECT_EQ(ParseSimdLevel("avx2").value(), SimdLevel::kAvx2);
   EXPECT_FALSE(ParseSimdLevel("").ok());
   EXPECT_FALSE(ParseSimdLevel("AVX2").ok());
   EXPECT_FALSE(ParseSimdLevel("avx512").ok());
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+  // The retired 128-bit level's names are unknown now, like any junk.
+  EXPECT_FALSE(ParseSimdLevel("sse4").ok());
+  EXPECT_FALSE(ParseSimdLevel("sse4.1").ok());
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     EXPECT_EQ(ParseSimdLevel(SimdLevelName(level)).value(), level);
   }
 }
@@ -161,8 +162,8 @@ INSTANTIATE_TEST_SUITE_P(
       return SimdLevelName(info.param);
     });
 
-// Raw row reduce: widths straddling every vector-width boundary (16 for
-// SSE, 32 for AVX2) plus scalar-only tails, with deliberately misaligned
+// Raw row reduce: widths straddling every vector-width boundary (16 and
+// 32 byte lanes) plus scalar-only tails, with deliberately misaligned
 // input and output pointers. Vector loads are all `loadu`, so alignment
 // must never change bytes or trip ASan.
 TEST_P(SimdLevelTest, ReduceRowsBitExactVsScalarMisalignedAndTailWidths) {
@@ -231,13 +232,44 @@ TEST_P(SimdLevelTest, FrameSignaturesMatchReferenceAcrossGeometries) {
 }
 
 // Shift-match sweep: lengths exercising full vectors, partial tails and
-// the n < 16 scalar-only regime; the deinterleave and mask kernels see
-// misaligned pointers naturally (every shift offsets the planar buffers
-// by an arbitrary amount).
+// the n < 16 scalar-only regime. 1..33 give the full-length overlap (the
+// one shift every tolerance visits) every residue mod 16 and mod 32, so
+// each tail of the mask loop and of the deinterleave is checked. The
+// deinterleave and mask kernels see misaligned pointers naturally (every
+// shift offsets the planar buffers by an arbitrary amount). The score
+// only reads the match count as a pruning bound, so the raw mask kernel
+// is also compared byte for byte, count included, at a misaligned offset.
 TEST_P(SimdLevelTest, ShiftMatchSweepMatchesReference) {
   ScopedSimdLevel level(GetParam());
-  for (int n : {1, 2, 15, 16, 17, 31, 32, 33, 61, 125, 253}) {
+  for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13,
+                14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+                27, 28, 29, 30, 31, 32, 33, 61, 125, 253}) {
     for (int tolerance : {0, 3, 64, 255}) {
+      {
+        const size_t size = static_cast<size_t>(n) + 1;
+        Pcg32 rng(static_cast<uint64_t>(n * 31 + tolerance));
+        std::vector<uint8_t> planes(6 * size);
+        for (uint8_t& v : planes) v = static_cast<uint8_t>(rng.NextBounded(64));
+        const uint8_t* p = planes.data() + 1;
+        const uint8_t tol = static_cast<uint8_t>(tolerance);
+        std::vector<uint8_t> want(size, 0x55);
+        std::vector<uint8_t> got(size, 0xAA);
+        int want_total = kernels::MatchMaskTotalScalar(
+            p, p + size, p + 2 * size, p + 3 * size, p + 4 * size,
+            p + 5 * size, n, tol, want.data());
+        int got_total = kernels::ActiveOps().match_mask_total(
+            p, p + size, p + 2 * size, p + 3 * size, p + 4 * size,
+            p + 5 * size, n, tol, got.data() + 1);
+        EXPECT_EQ(got_total, want_total)
+            << SimdLevelName(GetParam()) << " mask n=" << n
+            << " tol=" << tolerance;
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(got[static_cast<size_t>(i) + 1],
+                    want[static_cast<size_t>(i)])
+              << SimdLevelName(GetParam()) << " mask n=" << n
+              << " tol=" << tolerance << " i=" << i;
+        }
+      }
       uint64_t seed = static_cast<uint64_t>(n * 1000 + tolerance);
       Signature a = RandomLine(n, seed, 64);
       Signature b = RandomLine(n, seed + 1, 64);

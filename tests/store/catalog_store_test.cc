@@ -29,7 +29,7 @@ namespace {
 // A content fingerprint of everything queryable in a database; two
 // databases with equal fingerprints answer every catalog query the same.
 std::string Fingerprint(const VideoDatabase& db) {
-  std::string out = StrFormat("videos=%d index=%zu\n", db.video_count(),
+  std::string out = StrFormat("videos=%d index=%d\n", db.video_count(),
                               db.index().size());
   for (int id = 0; id < db.video_count(); ++id) {
     const CatalogEntry* entry = db.GetEntry(id).value();
@@ -384,7 +384,9 @@ TEST_F(CatalogStoreTest, ParallelSavesCommitContiguousGenerations) {
     Result<Manifest> manifest = store.ManifestAt(g);
     EXPECT_TRUE(manifest.ok()) << "generation " << g << ": "
                                << manifest.status();
-    if (manifest.ok()) EXPECT_EQ(manifest->generation, g);
+    if (manifest.ok()) {
+      EXPECT_EQ(manifest->generation, g);
+    }
   }
   OpenStats open_stats;
   Result<std::unique_ptr<VideoDatabase>> opened = store.Open(&open_stats);

@@ -29,7 +29,7 @@ namespace {
 
 // The query-visible content of a database, as one comparable string.
 std::string Fingerprint(const VideoDatabase& db) {
-  std::string out = StrFormat("videos=%d index=%zu\n", db.video_count(),
+  std::string out = StrFormat("videos=%d index=%d\n", db.video_count(),
                               db.index().size());
   for (int id = 0; id < db.video_count(); ++id) {
     const CatalogEntry* entry = db.GetEntry(id).value();

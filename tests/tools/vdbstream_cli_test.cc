@@ -134,7 +134,7 @@ TEST(VdbstreamCliTest, FarmFlagsAreAdvertised) {
 
 TEST(VdbstreamCliTest, JsonReportCarriesSimdLevel) {
   // A tiny solo run: the machine-readable report must identify which SIMD
-  // dispatch level produced the signatures (scalar / sse4 / avx2), so
+  // dispatch level produced the signatures (scalar / avx2), so
   // perf numbers are attributable to a kernel configuration.
   ToolRun run = RunTool("--preset ten-shot --scale 0.03 --json",
                         /*merge_stderr=*/false);

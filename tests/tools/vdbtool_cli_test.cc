@@ -151,6 +151,34 @@ TEST(VdbtoolCliTest, VersionHonorsSimdEnvOverride) {
   EXPECT_NE(forced.output.find("simd: scalar"), std::string::npos);
 }
 
+TEST(VdbtoolCliTest, VersionIgnoresRetiredSimdLevel) {
+  // "sse4" named a dispatch level that no longer exists: it is an unknown
+  // VDB_SIMD value now, warned about once, and dispatch keeps the
+  // detected level.
+  const char* saved = getenv("VDB_SIMD");
+  std::string saved_value = saved != nullptr ? saved : "";
+  setenv("VDB_SIMD", "sse4", 1);
+  ToolRun run = RunTool("version");
+  if (saved != nullptr) {
+    setenv("VDB_SIMD", saved_value.c_str(), 1);
+  } else {
+    unsetenv("VDB_SIMD");
+  }
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("ignoring VDB_SIMD='sse4'"), std::string::npos)
+      << run.output;
+  const std::string marker = "(detected ";
+  size_t at = run.output.find(marker);
+  ASSERT_NE(at, std::string::npos) << run.output;
+  size_t end = run.output.find(';', at);
+  ASSERT_NE(end, std::string::npos) << run.output;
+  const std::string detected =
+      run.output.substr(at + marker.size(), end - at - marker.size());
+  EXPECT_NE(run.output.find("simd: " + detected + " (detected"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(VdbtoolCliTest, StreamIngestOnMissingFileFailsCleanly) {
   ToolRun run = RunTool("stream-ingest /nonexistent.vdb /tmp/nowhere");
   EXPECT_EQ(run.exit_code, 1);
