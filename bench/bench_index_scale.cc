@@ -90,7 +90,8 @@ const World& WorldFor(int64_t clips) {
           signatures.frames.back().signature_ba, tokenizer);
       slot->sketches.push_back(std::move(sketch));
     }
-    building.AddVideo(static_cast<int>(clip), signatures, shots);
+    building.AddVideo(static_cast<int>(clip),
+                      TokenizeShots(signatures, shots, tokenizer));
   }
   building.Freeze();
   slot->index = std::move(building);

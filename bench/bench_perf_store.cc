@@ -3,6 +3,9 @@
 // read plus a checksummed read and decode per segment.
 // BM_IncrementalPublish times the write path: republishing 22 videos with
 // one change rewrites one segment plus the manifest, not 22 segments.
+// BM_CommitterPublishOneChanged/N times the live-ingest publish: one
+// farm::Committer::Publish of one changed video into a store of N videos
+// (the presets, renamed and re-tagged), after an untimed Init.
 //
 // JSON alongside the other perf benches:
 //   ./bench_perf_store --benchmark_format=json
@@ -21,6 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "core/video_database.h"
+#include "farm/committer.h"
 #include "store/catalog_store.h"
 #include "synth/renderer.h"
 #include "synth/workload.h"
@@ -130,6 +134,57 @@ void BM_IncrementalPublish(benchmark::State& state) {
   state.counters["segments_per_publish"] = 1;
 }
 BENCHMARK(BM_IncrementalPublish)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One checkpoint of live ingest: the committer publishes one changed
+// video — a manifest of N refs and the generation's FRAMEINDEX — into a
+// store of N videos it adopted with Init. Every iteration re-tags the
+// same video, so each publish really writes one new segment.
+void BM_CommitterPublishOneChanged(benchmark::State& state) {
+  const Fixture& f = SavedCatalogs();
+  const int videos = static_cast<int>(state.range(0));
+  const int presets = f.db->video_count();
+  const std::string dir = StrFormat("%s/committer-%d", PublishDir().c_str(),
+                                    videos);
+  CatalogEntry changed;
+  int64_t frames = 0;
+  {
+    VideoDatabase db;
+    for (int i = 0; i < videos; ++i) {
+      CatalogEntry entry = *bench::OrDie(f.db->GetEntry(i % presets), "entry");
+      entry.name = StrFormat("video-%04d", i);
+      entry.classification.form_id = i / presets;
+      frames += entry.frame_count;
+      if (i == videos / 2) changed = entry;
+      bench::OrDie(db.Restore(std::move(entry)), "restore entry");
+    }
+    Status made = CreateDirIfMissing(PublishDir());
+    if (!made.ok()) bench::OrDie(Result<int>(made), "create publish dir");
+    bench::OrDie(store::CatalogStore(dir).Save(db), "save base store");
+  }
+  farm::CommitterOptions options;
+  options.dir = dir;
+  farm::Committer committer(options);
+  committer.Init();
+  int tag = 1 << 20;
+  for (auto _ : state) {
+    changed.classification.form_id = tag++;
+    Result<stream::PublishReceipt> receipt = committer.Publish(changed);
+    if (!receipt.ok()) {
+      state.SkipWithError(receipt.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(receipt->generation);
+  }
+  state.counters["videos"] = videos;
+  state.counters["frames_per_video"] =
+      static_cast<double>(frames) / static_cast<double>(videos);
+}
+BENCHMARK(BM_CommitterPublishOneChanged)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace vdb

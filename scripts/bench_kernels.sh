@@ -7,8 +7,9 @@
 # Writes BENCH_kernels.json (google-benchmark JSON) at the repo root. The
 # acceptance bars: >= 3x single-thread speedup of
 # BM_FrameSignature_Kernel/160 over BM_FrameSignature_Reference/160, and
-# >= 1.5x of the avx2 BM_ReduceRows family over its scalar counterpart on
-# AVX2 hosts.
+# >= 1.5x of the avx2 BM_ReduceRows family (geometric mean over its sizes)
+# over its scalar counterpart on AVX2 hosts. After writing the JSON the
+# script checks both and exits 4 when either falls short.
 #
 #   scripts/bench_kernels.sh
 #
@@ -46,3 +47,41 @@ build/bench/bench_perf_kernels \
   --benchmark_format=console
 
 echo "bench_kernels: wrote $OUT (build type $build_type)"
+
+python3 - "$OUT" <<'PY'
+import json
+import math
+import sys
+
+times = {b["name"]: b["real_time"]
+         for b in json.load(open(sys.argv[1]))["benchmarks"]
+         if b.get("run_type", "iteration") == "iteration"}
+short = []
+
+kernel = times["BM_FrameSignature_Reference/160"] / \
+    times["BM_FrameSignature_Kernel/160"]
+print("bench_kernels: FrameSignature/160 kernel %.2fx the reference "
+      "(bar 3x)" % kernel)
+if kernel < 3.0:
+    short.append("FrameSignature/160")
+
+sizes = sorted(name.split("/")[1] for name in times
+               if name.startswith("BM_ReduceRows_avx2/"))
+if sizes:
+    ratios = [times["BM_ReduceRows_scalar/" + size] /
+              times["BM_ReduceRows_avx2/" + size] for size in sizes]
+    family = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+    print("bench_kernels: ReduceRows avx2 %.2fx scalar (sizes %s: %s; "
+          "bar 1.5x)" % (family, ",".join(sizes),
+                         ", ".join("%.2f" % r for r in ratios)))
+    if family < 1.5:
+        short.append("ReduceRows avx2")
+else:
+    print("bench_kernels: no avx2 ReduceRows family on this host; "
+          "that bar is not checked")
+
+if short:
+    print("bench_kernels: below the bar: " + ", ".join(short),
+          file=sys.stderr)
+    sys.exit(4)
+PY

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Storage-layer perf trajectory: cold-open latency of the segmented
 # crash-safe catalog store, plus the cost of an incremental one-segment
-# republish, over the 22 Table-5 presets. Writes BENCH_store.json
-# (google-benchmark JSON) at the repo root.
+# republish, over the 22 Table-5 presets, and one committer publish of one
+# changed video into stores of 64, 256 and 1,024 videos. Writes
+# BENCH_store.json (google-benchmark JSON) at the repo root.
 #
 #   scripts/bench_store.sh
 #

@@ -62,8 +62,8 @@ Result<SplitStats> SplitStore(const std::string& src_dir,
     const std::string shard_dir = out_dir + "/" + ShardDirName(shard);
     VDB_RETURN_IF_ERROR(CreateDirIfMissing(shard_dir));
     VDB_RETURN_IF_ERROR(SyncDir(shard_dir));  // linked segments first
-    VDB_RETURN_IF_ERROR(store::PublishManifest(
-        shard_dir, shard_manifests[static_cast<size_t>(shard)]));
+    VDB_RETURN_IF_ERROR(store::CatalogStore(shard_dir).PublishManifest(
+        shard_manifests[static_cast<size_t>(shard)]));
     ShardMapFile file;
     file.map = map;
     file.shard_id = shard;

@@ -184,7 +184,7 @@ BatchIngestResult VideoDatabase::IngestBatchFiles(
       });
 }
 
-Result<int> VideoDatabase::Restore(CatalogEntry entry) {
+Status VideoDatabase::CheckRestorable(const CatalogEntry& entry) {
   if (entry.frame_count <= 0 ||
       entry.frame_count != static_cast<int>(entry.signatures.frames.size())) {
     return Status::InvalidArgument(
@@ -203,8 +203,11 @@ Result<int> VideoDatabase::Restore(CatalogEntry entry) {
                   entry.name.c_str(), entry.scene_tree.shot_count(),
                   entry.shots.size()));
   }
-  VDB_RETURN_IF_ERROR(entry.scene_tree.Validate());
+  return entry.scene_tree.Validate();
+}
 
+Result<int> VideoDatabase::Restore(CatalogEntry entry) {
+  VDB_RETURN_IF_ERROR(CheckRestorable(entry));
   auto stored = std::make_unique<CatalogEntry>(std::move(entry));
   std::unique_lock<std::shared_mutex> lock(mu_);
   return CommitLocked(std::move(stored));

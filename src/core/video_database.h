@@ -124,6 +124,11 @@ class VideoDatabase {
   // shots. No pixel data is touched.
   Result<int> Restore(CatalogEntry entry);
 
+  // The internal consistency Restore checks, without installing the entry:
+  // what a publisher that persists entries without building a database
+  // (farm::Committer) refuses on.
+  static Status CheckRestorable(const CatalogEntry& entry);
+
   int video_count() const;
 
   // Catalog access. Fails for unknown ids.

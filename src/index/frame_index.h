@@ -27,6 +27,17 @@ struct FrameIndexOptions {
   TokenizerOptions tokenizer;
 };
 
+// The token sets of one video's shots, in shot order: entry i is
+// ShotTokenSet of shot i. What FrameIndex::AddVideo indexes, and what a
+// caller that rebuilds the index per generation (farm::Committer) keeps
+// per video so it never re-tokenizes an unchanged one.
+using ShotTokens = std::vector<std::vector<uint64_t>>;
+
+// The one tokenizer of the frame index: every shot's ShotTokenSet.
+ShotTokens TokenizeShots(const VideoSignatures& signatures,
+                         const std::vector<Shot>& shots,
+                         const TokenizerOptions& options);
+
 // One ranked answer. score = matched query tokens / total query tokens, in
 // (0, 1].
 struct FrameHit {
@@ -50,10 +61,10 @@ class FrameIndex {
   FrameIndex(const FrameIndex&) = delete;
   FrameIndex& operator=(const FrameIndex&) = delete;
 
-  // Sketches every shot of one video and queues its postings. Videos must
-  // be added before Freeze; ids may arrive in any order but must be unique.
-  void AddVideo(int video_id, const VideoSignatures& signatures,
-                const std::vector<Shot>& shots);
+  // Queues the postings of one video's tokenized shots (TokenizeShots with
+  // this index's tokenizer options). Videos must be added before Freeze;
+  // ids may arrive in any order but must be unique.
+  void AddVideo(int video_id, const ShotTokens& shot_tokens);
 
   // Sorts and deduplicates the posting array; after this the index is
   // immutable and queryable. Idempotent.

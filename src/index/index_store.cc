@@ -35,13 +35,14 @@ uint32_t Checksum(std::string_view payload) {
 }
 
 // The same magic + u32 checksum + payload framing as the catalog store's
-// segments and manifests.
-std::string WrapChecksummed(const char magic[8], std::string_view payload) {
+// segments and manifests; `checksum` is Checksum(payload).
+std::string WrapChecksummed(const char magic[8], std::string_view payload,
+                            uint32_t checksum) {
   std::string out;
   out.reserve(8 + 4 + payload.size());
   out.append(magic, 8);
   BinaryWriter header;
-  header.PutU32(Checksum(payload));
+  header.PutU32(checksum);
   out += header.buffer();
   out.append(payload);
   return out;
@@ -143,23 +144,26 @@ bool IsFrameIndexSegmentName(const std::string& name) {
 Status SaveFrameIndex(const std::string& dir, uint64_t generation,
                       const FrameIndex& frame_index, const FaultHook& hook) {
   const std::string payload = frame_index.Serialize();
+  const uint32_t checksum = Checksum(payload);
   const std::string segment = SegmentNameFor(payload);
   const std::string segment_path = dir + "/" + segment;
   if (!FileExists(segment_path)) {
     VDB_RETURN_IF_ERROR(WriteFileAtomic(
-        segment_path, WrapChecksummed(kSegmentMagic, payload), hook,
+        segment_path, WrapChecksummed(kSegmentMagic, payload, checksum), hook,
         "frame-index segment " + segment));
   }
   BinaryWriter w;
   w.PutU64(generation);
   w.PutString(segment);
   w.PutU64(payload.size());
-  w.PutU32(Checksum(payload));
+  w.PutU32(checksum);
+  const std::string pointer = w.TakeBuffer();
   // The pointer rename is the commit point: the segment above is already
   // durable, so a crash leaves at worst an orphan segment for Compact.
   return WriteFileAtomic(dir + "/" + FrameIndexPointerName(generation),
-                         WrapChecksummed(kPointerMagic, w.TakeBuffer()), hook,
-                         "frame-index pointer");
+                         WrapChecksummed(kPointerMagic, pointer,
+                                         Checksum(pointer)),
+                         hook, "frame-index pointer");
 }
 
 Result<FrameIndex> OpenFrameIndex(const std::string& dir,

@@ -278,6 +278,60 @@ Result<Manifest> CatalogStore::ManifestAt(uint64_t generation) const {
   return LoadManifest(generation);
 }
 
+Result<Manifest> CatalogStore::PublishBase() const {
+  Result<Manifest> current = CurrentManifest();
+  if (current.ok()) {
+    return current;
+  }
+  if (current.status().code() == StatusCode::kNotFound) {
+    return Manifest{};
+  }
+  // An unreadable directory is an error; a corrupt manifest is not — the
+  // next generation starts from scratch (nothing reused).
+  if (current.status().code() != StatusCode::kCorruption) {
+    return current.status();
+  }
+  VDB_ASSIGN_OR_RETURN(std::vector<uint64_t> generations, ListGenerations());
+  Manifest empty;
+  empty.generation = generations.empty() ? 0 : generations.front();
+  return empty;
+}
+
+Result<SegmentRef> CatalogStore::PutSegment(
+    const CatalogEntry& entry, std::unordered_set<std::string>* live,
+    SaveStats* stats) {
+  BinaryWriter w;
+  SerializeCatalogEntry(entry, &w);
+  const std::string payload = w.TakeBuffer();
+  SegmentRef ref;
+  ref.video_name = entry.name;
+  ref.payload_size = payload.size();
+  ref.payload_checksum = Checksum(payload);
+  ref.file = SegmentName(
+      Fnv1a64(reinterpret_cast<const uint8_t*>(payload.data()),
+              payload.size()),
+      payload.size());
+  if (live->count(ref.file) != 0) {
+    if (stats != nullptr) ++stats->segments_reused;
+    return ref;
+  }
+  VDB_RETURN_IF_ERROR(WriteFileAtomic(
+      dir_ + "/" + ref.file, WrapChecksummed(kSegmentMagic, payload),
+      options_.fault_hook, "segment " + ref.file));
+  live->insert(ref.file);
+  if (stats != nullptr) ++stats->segments_written;
+  return ref;
+}
+
+Status CatalogStore::PublishManifest(const Manifest& manifest) {
+  ScopedPublishLock publish_lock(dir_);
+  VDB_RETURN_IF_ERROR(CreateDirIfMissing(dir_));
+  return WriteFileAtomic(dir_ + "/" + ManifestName(manifest.generation),
+                         WrapChecksummed(kManifestMagic,
+                                         EncodeManifest(manifest)),
+                         options_.fault_hook, "manifest");
+}
+
 Result<SaveStats> CatalogStore::Save(const VideoDatabase& db) {
   // Single-committer discipline: the whole read-current / write-segments /
   // publish-manifest sequence is one critical section per directory.
@@ -288,62 +342,26 @@ Result<SaveStats> CatalogStore::Save(const VideoDatabase& db) {
 
   // The segments the current generation keeps live; content-addressed file
   // names make "unchanged video" equal to "file already live".
-  Manifest next;
+  VDB_ASSIGN_OR_RETURN(Manifest base, PublishBase());
   std::unordered_set<std::string> live;
-  {
-    Result<Manifest> current = CurrentManifest();
-    if (current.ok()) {
-      next.generation = current->generation + 1;
-      for (const SegmentRef& ref : current->segments) {
-        live.insert(ref.file);
-      }
-    } else if (current.status().code() == StatusCode::kNotFound) {
-      next.generation = 1;
-    } else {
-      // An unreadable directory is an error; a corrupt manifest is not —
-      // Save starts the next generation from scratch (nothing reused).
-      if (current.status().code() != StatusCode::kCorruption) {
-        return current.status();
-      }
-      VDB_ASSIGN_OR_RETURN(std::vector<uint64_t> generations,
-                           ListGenerations());
-      next.generation = generations.empty() ? 1 : generations.front() + 1;
-    }
+  for (const SegmentRef& ref : base.segments) {
+    live.insert(ref.file);
   }
 
+  Manifest next;
+  next.generation = base.generation + 1;
+  next.segments.reserve(static_cast<size_t>(db.video_count()));
   SaveStats stats;
   stats.generation = next.generation;
   for (int id = 0; id < db.video_count(); ++id) {
     VDB_ASSIGN_OR_RETURN(const CatalogEntry* entry, db.GetEntry(id));
-    BinaryWriter w;
-    SerializeCatalogEntry(*entry, &w);
-    const std::string payload = w.TakeBuffer();
-    SegmentRef ref;
-    ref.video_name = entry->name;
-    ref.payload_size = payload.size();
-    ref.payload_checksum = Checksum(payload);
-    ref.file = SegmentName(
-        Fnv1a64(reinterpret_cast<const uint8_t*>(payload.data()),
-                payload.size()),
-        payload.size());
-    if (live.count(ref.file) != 0) {
-      ++stats.segments_reused;
-    } else {
-      VDB_RETURN_IF_ERROR(WriteFileAtomic(
-          dir_ + "/" + ref.file, WrapChecksummed(kSegmentMagic, payload),
-          options_.fault_hook, "segment " + ref.file));
-      live.insert(ref.file);
-      ++stats.segments_written;
-    }
+    VDB_ASSIGN_OR_RETURN(SegmentRef ref, PutSegment(*entry, &live, &stats));
     next.segments.push_back(std::move(ref));
   }
 
   // Every referenced segment is durable; the manifest rename is the commit
   // point that flips readers from generation N to N+1.
-  VDB_RETURN_IF_ERROR(WriteFileAtomic(
-      dir_ + "/" + ManifestName(next.generation),
-      WrapChecksummed(kManifestMagic, EncodeManifest(next)),
-      options_.fault_hook, "manifest"));
+  VDB_RETURN_IF_ERROR(PublishManifest(next));
   return stats;
 }
 
@@ -386,15 +404,6 @@ Result<CompactStats> CatalogStore::Compact() {
     VDB_RETURN_IF_ERROR(SyncDir(dir_));
   }
   return stats;
-}
-
-Status PublishManifest(const std::string& dir, const Manifest& manifest) {
-  ScopedPublishLock publish_lock(dir);
-  VDB_RETURN_IF_ERROR(CreateDirIfMissing(dir));
-  return WriteFileAtomic(dir + "/" + ManifestName(manifest.generation),
-                         WrapChecksummed(kManifestMagic,
-                                         EncodeManifest(manifest)),
-                         nullptr, "manifest");
 }
 
 }  // namespace store

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/video_database.h"
@@ -32,12 +33,13 @@ namespace store {
 // segment I/O. A manifest lists, per video: its name, segment file, payload
 // size and FNV-1a checksum, all behind its own checksummed header.
 //
-// Publish protocol (Save): every new segment is written to a temp file,
-// fsynced, renamed into place, and the directory synced; only then is
-// MANIFEST-<N+1> published the same way. A reader therefore always sees
-// either generation N or generation N+1 — a crash at any point leaves at
-// worst orphan segments and temp files that the next Compact() collects,
-// and never touches the segments generation N references.
+// Publish protocol: every new segment is written to a temp file, fsynced,
+// renamed into place, and the directory synced (PutSegment); only then is
+// MANIFEST-<N+1> published the same way (PublishManifest). A reader
+// therefore always sees either generation N or generation N+1 — a crash at
+// any point leaves at worst orphan segments and temp files that the next
+// Compact() collects, and never touches the segments generation N
+// references.
 //
 // Open walks the manifests newest-first and returns the first generation
 // that loads and verifies completely, so a corrupt newest generation
@@ -51,6 +53,8 @@ struct SegmentRef {
   std::string file;               // name within the store directory
   uint64_t payload_size = 0;      // serialized entry bytes
   uint32_t payload_checksum = 0;  // FNV-1a32 of the payload
+
+  friend bool operator==(const SegmentRef&, const SegmentRef&) = default;
 };
 
 struct Manifest {
@@ -85,7 +89,7 @@ struct StoreOptions {
 };
 
 // Serializes publishes into one store directory within this process: Save
-// (and PublishManifest) take the directory's lock internally, so any
+// and PublishManifest take the directory's lock internally, so any
 // number of threads — checkpointing pipelines, an ingest farm's tenants, a
 // vdbtool run on another thread — commit strictly one generation after
 // another: contiguous numbering, no lost commits, no torn interleaving of
@@ -94,7 +98,8 @@ struct StoreOptions {
 // The lock is keyed by the directory *path string* (the registry lives for
 // the process; one mutex per distinct path). It is recursive, so a caller
 // may hold a ScopedPublishLock across a wider read-modify-write section
-// (Open → merge → Save) and Save's own acquisition nests harmlessly.
+// (PublishBase → PutSegment → PublishManifest, as farm::Committer does)
+// and the inner acquisitions nest harmlessly.
 // Cross-process publishes are not arbitrated — one committer process per
 // store directory is the deployment contract.
 class ScopedPublishLock {
@@ -113,13 +118,41 @@ class CatalogStore {
  public:
   explicit CatalogStore(std::string dir, StoreOptions options = {});
 
-  // Publishes `db` as the next generation. Incremental: only segments whose
-  // content is not already live in the current generation are written; the
-  // rest are carried over by reference. Creates the directory if missing.
-  // Thread-safe across CatalogStore instances of the same directory: the
-  // whole publish runs under the directory's ScopedPublishLock, so
-  // concurrent Saves commit contiguous generations with no lost commits.
+  // Publishes the whole of `db`, in id order, as the next generation: under
+  // the directory's ScopedPublishLock, PutSegment for every entry against
+  // the files live in PublishBase(), then PublishManifest. Incremental: only
+  // segments whose content is not already live are written; the rest are
+  // carried over by reference. Creates the directory if missing. Concurrent
+  // Saves of one directory commit contiguous generations, no commit lost.
   Result<SaveStats> Save(const VideoDatabase& db);
+
+  // The publish primitives Save is a loop over, for a caller that keeps its
+  // own segment refs and encodes only what changed (farm::Committer). Hold
+  // the directory's ScopedPublishLock across all three, or another publish
+  // may slip in between.
+  //
+  // The generation the next publish extends: the newest parseable manifest.
+  // When none parses, an empty manifest numbered like the newest listed
+  // one, so nothing is carried over; generation 0 for an empty store.
+  Result<Manifest> PublishBase() const;
+
+  // Encodes `entry` (one serialization, one FNV-1a32 and one FNV-1a64 pass)
+  // into the ref a manifest lists for it, and writes its content-addressed
+  // segment unless `live` already holds that file; a written file joins
+  // `live`. `live` must start as the files of the generation being
+  // extended: a manifest may only carry segments live in the generation it
+  // extends. Counts the write or reuse into `stats` when given.
+  Result<SegmentRef> PutSegment(const CatalogEntry& entry,
+                                std::unordered_set<std::string>* live,
+                                SaveStats* stats = nullptr);
+
+  // Publishes `manifest` as MANIFEST-<generation> (temp file + fsync +
+  // rename + directory sync): the commit point that flips readers to it.
+  // Every referenced segment must already be durable in the directory.
+  // Creates the directory if missing. `vdbtool store-shard` also uses it:
+  // segments are content-addressed, so a shard store is links to the source
+  // segments plus a manifest listing its subset.
+  Status PublishManifest(const Manifest& manifest);
 
   // Loads the newest generation that verifies completely (every manifest
   // and segment checksum) into a fresh database. Falls back generation by
@@ -151,14 +184,6 @@ class CatalogStore {
   std::string dir_;
   StoreOptions options_;
 };
-
-// Publishes `manifest` as MANIFEST-<generation> in `dir` with the store's
-// atomic protocol (temp file + fsync + rename + directory sync). The caller
-// is responsible for every referenced segment already being present and
-// durable in `dir`. This is how `vdbtool store-shard` rewrites a store's
-// manifest per shard: segments are content-addressed, so a shard store is
-// just links to the source segments plus a manifest listing its subset.
-Status PublishManifest(const std::string& dir, const Manifest& manifest);
 
 }  // namespace store
 }  // namespace vdb

@@ -7,14 +7,19 @@
 namespace vdb {
 
 void BinaryWriter::PutU32(uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  buffer_.append(bytes, sizeof(bytes));
 }
 
 void BinaryWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(static_cast<uint32_t>(v >> 32));
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  buffer_.append(bytes, sizeof(bytes));
 }
 
 void BinaryWriter::PutDouble(double v) {

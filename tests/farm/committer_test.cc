@@ -2,14 +2,20 @@
 // — solo pipelines and every farm tenant commit through it — so its
 // guarantees are pinned here directly: upsert by name, video ids in name
 // order, contiguous generations, a FRAMEINDEX matching every generation,
-// RELOAD accounting, and a solo run publishing exactly what a one-stream
-// farm publishes.
+// RELOAD accounting, a solo run publishing exactly what a one-stream
+// farm publishes, and — since a publish encodes only the entry it was
+// given — the same bytes a full Save of the catalog would publish, even
+// across a failed publish.
 
 #include "farm/committer.h"
 
 #include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,8 @@
 #include "tests/support/render_cache.h"
 #include "util/binary_io.h"
 #include "util/fs.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace vdb {
 namespace farm {
@@ -76,6 +84,56 @@ std::vector<std::string> StoreNames(const std::string& dir) {
     names.push_back((*opened)->GetEntry(id).value()->name);
   }
   return names;
+}
+
+std::string ManifestBytes(const std::string& dir, uint64_t generation) {
+  Result<std::string> bytes = ReadFileToString(
+      dir + StrFormat("/MANIFEST-%06llu",
+                      static_cast<unsigned long long>(generation)));
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+// The committer's reference: a second store directory that receives a
+// CatalogStore::Save of the full catalog in name order once per generation
+// the committer's directory gains.
+class ShadowStore {
+ public:
+  explicit ShadowStore(std::string dir) : dir_(std::move(dir)) {}
+
+  void Upsert(const CatalogEntry& entry) { catalog_[entry.name] = entry; }
+
+  // Saves the catalog as the next shadow generation; returns its database.
+  std::unique_ptr<VideoDatabase> Save() {
+    auto db = std::make_unique<VideoDatabase>();
+    for (const auto& [name, entry] : catalog_) {
+      EXPECT_TRUE(db->Restore(entry).ok()) << name;
+    }
+    Result<store::SaveStats> saved = store::CatalogStore(dir_).Save(*db);
+    EXPECT_TRUE(saved.ok()) << saved.status();
+    return db;
+  }
+
+  const std::string& dir() const { return dir_; }
+
+ private:
+  std::string dir_;
+  std::map<std::string, CatalogEntry> catalog_;
+};
+
+// Generation `generation` of `dir` is byte-identical to the shadow's: the
+// same manifest file, and a FRAMEINDEX equal to FrameIndex::Build of the
+// shadow's catalog.
+void ExpectMatchesShadow(const std::string& dir, const ShadowStore& shadow,
+                         const VideoDatabase& db, uint64_t generation) {
+  EXPECT_EQ(ManifestBytes(dir, generation),
+            ManifestBytes(shadow.dir(), generation))
+      << "generation " << generation;
+  Result<index::FrameIndex> persisted =
+      index::OpenFrameIndex(dir, generation);
+  ASSERT_TRUE(persisted.ok()) << persisted.status();
+  EXPECT_EQ(persisted->Serialize(), index::FrameIndex::Build(db).Serialize())
+      << "generation " << generation;
 }
 
 class CommitterTest : public testing::Test {
@@ -309,6 +367,224 @@ TEST_F(CommitterTest, SoloPipelineAndOneStreamFarmPublishTheSameStore) {
   ASSERT_EQ(solo.size(), 2u);
   EXPECT_EQ(solo, StoreEntryBytes(farm_dir));
   EXPECT_EQ(solo[1], EntryBytes(base));
+}
+
+// A seeded mix of publishes — new names sorting before every existing one
+// (shifting every id), new names anywhere, replacements, identical
+// re-publishes, and a fresh committer that Inits mid-sequence — publishes
+// after every step exactly what a full Save of the catalog publishes.
+TEST_F(CommitterTest, EveryPublishMatchesAFullSaveOfTheCatalog) {
+  const std::string dir = FreshDir("shadow");
+  ShadowStore shadow(FreshDir("shadow_ref"));
+  CommitterOptions options;
+  options.dir = dir;
+  std::optional<Committer> committer(std::in_place, options);
+  committer->Init();
+
+  Pcg32 rng(0xc0331u);
+  std::map<std::string, CatalogEntry> published;
+  int front = 1000;  // "v<front>" sorts before every name made so far
+  int reinits = 0;
+  for (uint64_t generation = 1; generation <= 48; ++generation) {
+    CatalogEntry entry;
+    std::string step;
+    const uint32_t kind =
+        published.size() < 2 ? 0 : rng.NextBounded(10);
+    if (kind <= 2) {
+      step = "new first";
+      entry = EntryNamed(static_cast<int>(rng.NextBounded(2)),
+                         StrFormat("v%04d", front--));
+    } else if (kind <= 4) {
+      step = "new anywhere";
+      entry = EntryNamed(static_cast<int>(rng.NextBounded(2)),
+                         StrFormat("v%04u", 1000 + rng.NextBounded(9000)));
+    } else {
+      auto it = published.begin();
+      std::advance(it, rng.NextBounded(
+                           static_cast<uint32_t>(published.size())));
+      entry = it->second;
+      if (kind <= 7) {
+        step = "replace";
+        entry = EntryNamed(static_cast<int>(rng.NextBounded(2)), it->first);
+        entry.classification.form_id =
+            static_cast<int>(rng.NextBounded(1000));
+      } else {
+        step = "re-publish";
+      }
+    }
+    if (generation % 13 == 0) {
+      // A fresh committer adopts the store and carries on from it.
+      committer.emplace(options);
+      committer->Init();
+      ++reinits;
+    }
+    SCOPED_TRACE(step + " '" + entry.name + "' at generation " +
+                 std::to_string(generation));
+
+    Result<stream::PublishReceipt> receipt = committer->Publish(entry);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+    ASSERT_EQ(receipt->generation, generation);
+    published[entry.name] = entry;
+    shadow.Upsert(entry);
+    std::unique_ptr<VideoDatabase> db = shadow.Save();
+    ExpectMatchesShadow(dir, shadow, *db, generation);
+    // Init's picture and every publish's own keep the next one O(changed).
+    EXPECT_EQ(committer->stats().rederives, 0);
+  }
+  EXPECT_EQ(reinits, 3);
+  EXPECT_GT(published.size(), 10u);
+}
+
+// Each fault point of a publish's segment and manifest writes fails that
+// publish. The committer's picture stays what the disk holds: the next
+// publish (hook disarmed) lands the next contiguous, loadable generation,
+// equal to a full Save of the catalog the disk actually committed.
+TEST_F(CommitterTest, AFailedPublishNeverLeavesThePictureAheadOfTheDisk) {
+  int countdown = -1;  // hook calls left before the crash; -1: never crash
+  std::vector<std::string> points;
+  CommitterOptions options;
+  options.fault_hook = [&](std::string_view point) {
+    points.emplace_back(point);
+    return countdown < 0 || countdown-- > 0;
+  };
+  const std::vector<CatalogEntry> base = {
+      EntryNamed(0, "m-one"), EntryNamed(1, "m-two"), EntryNamed(0, "m-three")};
+  CatalogEntry replacement = EntryNamed(1, "m-two");
+  replacement.classification.form_id = 7;
+  const std::vector<CatalogEntry> failing = {replacement,
+                                             EntryNamed(1, "a-first")};
+  const CatalogEntry after = EntryNamed(1, "z-last");
+
+  for (size_t f = 0; f < failing.size(); ++f) {
+    // The fault points one publish of failing[f] consults.
+    std::vector<std::string> publish_points;
+    {
+      options.dir = FreshDir("faults_probe");
+      Committer committer(options);
+      committer.Init();
+      for (const CatalogEntry& entry : base) {
+        ASSERT_TRUE(committer.Publish(entry).ok());
+      }
+      points.clear();
+      ASSERT_TRUE(committer.Publish(failing[f]).ok());
+      publish_points = points;
+    }
+    ASSERT_EQ(publish_points.size(), 8u) << "a segment and a manifest";
+
+    for (size_t crash = 0; crash < publish_points.size(); ++crash) {
+      const std::string& point = publish_points[crash];
+      SCOPED_TRACE("publish " + std::to_string(f) + " fails at " + point);
+      options.dir = FreshDir("faults_" + std::to_string(crash));
+      ShadowStore shadow(FreshDir("faults_ref_" + std::to_string(crash)));
+      countdown = -1;
+      Committer committer(options);
+      committer.Init();
+      uint64_t generation = 0;
+      for (const CatalogEntry& entry : base) {
+        ASSERT_TRUE(committer.Publish(entry).ok());
+        shadow.Upsert(entry);
+        shadow.Save();
+        ++generation;
+      }
+
+      countdown = static_cast<int>(crash);
+      EXPECT_FALSE(committer.Publish(failing[f]).ok());
+      countdown = -1;
+      // Only a crash after the manifest's rename leaves the publish
+      // committed on disk; only then must the next publish re-derive.
+      const bool landed = point == "manifest:dirsync";
+      if (landed) {
+        shadow.Upsert(failing[f]);
+        shadow.Save();
+        ++generation;
+      }
+      EXPECT_EQ(store::CatalogStore(options.dir).CurrentManifest()
+                    .value()
+                    .generation,
+                generation);
+
+      Result<stream::PublishReceipt> receipt = committer.Publish(after);
+      ASSERT_TRUE(receipt.ok()) << receipt.status();
+      ++generation;
+      EXPECT_EQ(receipt->generation, generation);
+      shadow.Upsert(after);
+      std::unique_ptr<VideoDatabase> db = shadow.Save();
+      store::OpenStats open_stats;
+      ASSERT_TRUE(store::CatalogStore(options.dir).Open(&open_stats).ok());
+      EXPECT_EQ(open_stats.generation, generation);
+      ExpectMatchesShadow(options.dir, shadow, *db, generation);
+      EXPECT_EQ(committer.stats().rederives, landed ? 1 : 0);
+    }
+  }
+}
+
+// A corrupt segment in the newest generation makes Open fall back a
+// generation, while the next publish still extends the newest parseable
+// manifest. Refs the committer loaded from the older generation are not
+// live there, so the publish writes them again — exactly the writes a full
+// Save of the same catalog makes on a copy of the same directory.
+TEST_F(CommitterTest, RefsNotLiveInTheExtendedGenerationAreWrittenAgain) {
+  const std::string dir = FreshDir("fallback");
+  CommitterOptions options;
+  options.dir = dir;
+  const CatalogEntry a = EntryNamed(0, "a-clip");
+  const CatalogEntry b = EntryNamed(1, "b-clip");
+  const CatalogEntry c = EntryNamed(1, "c-clip");
+  {
+    Committer committer(options);
+    committer.Init();
+    CatalogEntry a_changed = a;
+    a_changed.classification.form_id = 3;
+    for (const CatalogEntry& entry : {a, b, a_changed}) {
+      ASSERT_TRUE(committer.Publish(entry).ok());
+    }
+  }
+  // Flip one payload byte of generation 3's a-clip segment.
+  Result<store::Manifest> third = store::CatalogStore(dir).ManifestAt(3);
+  ASSERT_TRUE(third.ok()) << third.status();
+  const std::string victim = dir + "/" + third->segments[0].file;
+  {
+    std::fstream file(victim,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(20);
+    const char byte = static_cast<char>(file.get() ^ 0x40);
+    file.seekp(20);
+    file.put(byte);
+  }
+  store::OpenStats open_stats;
+  ASSERT_TRUE(store::CatalogStore(dir).Open(&open_stats).ok());
+  ASSERT_EQ(open_stats.generation, 2u);
+
+  const std::string copy = FreshDir("fallback_copy");
+  std::filesystem::copy(dir, copy);
+  std::vector<std::string> points;
+  options.fault_hook = [&](std::string_view point) {
+    points.emplace_back(point);
+    return true;
+  };
+  Committer committer(options);
+  committer.Init();
+  ASSERT_TRUE(committer.Publish(c).ok());
+  const std::vector<std::string> committer_points = points;
+
+  points.clear();
+  VideoDatabase db;
+  for (const CatalogEntry& entry : {a, b, c}) {
+    ASSERT_TRUE(db.Restore(entry).ok());
+  }
+  store::CatalogStore copy_store(copy,
+                                 store::StoreOptions{{}, options.fault_hook});
+  ASSERT_TRUE(copy_store.Save(db).ok());
+  EXPECT_EQ(committer.stats().rederives, 1);
+  EXPECT_EQ(committer_points, points);
+  // a-clip's generation-2 segment and c-clip's new one, then the manifest.
+  EXPECT_EQ(committer_points.size(), 12u);
+  EXPECT_EQ(ManifestBytes(dir, 4), ManifestBytes(copy, 4));
+  ASSERT_TRUE(store::CatalogStore(dir).Open(&open_stats).ok());
+  EXPECT_EQ(open_stats.generation, 4u);
+  EXPECT_EQ(StoreEntryBytes(dir),
+            (std::vector<std::string>{EntryBytes(a), EntryBytes(b),
+                                      EntryBytes(c)}));
 }
 
 }  // namespace

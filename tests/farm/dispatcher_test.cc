@@ -9,7 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -25,20 +25,33 @@ namespace farm {
 namespace {
 
 // Always has work: kProcessed for the first `limit` calls, then kFinished.
+// The call that brings processed() to `limit` wakes WaitProcessed().
 class ScriptedSource : public stream::SignatureWorkSource {
  public:
   explicit ScriptedSource(uint64_t limit) : limit_(limit) {}
 
   Step ProcessOne(PyramidWorkspace*) override {
     const uint64_t n = calls_.fetch_add(1);
+    if (n + 1 == limit_) {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_cv_.notify_all();
+    }
     return n < limit_ ? Step::kProcessed : Step::kFinished;
   }
 
   uint64_t processed() const { return std::min(calls_.load(), limit_); }
 
+  // Blocks until processed() has reached `limit`.
+  void WaitProcessed() {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [this] { return processed() == limit_; });
+  }
+
  private:
   const uint64_t limit_;
   std::atomic<uint64_t> calls_{0};
+  std::mutex mu_;
+  std::condition_variable done_cv_;
 };
 
 // Never has a frame ready; counts how often it was polled.
@@ -78,9 +91,8 @@ TEST(FairDispatcherTest, WeightsShapeServiceRatioDeterministically) {
   ASSERT_TRUE(light->Attach(&light_source).ok());
 
   std::thread worker([&] { dispatcher.RunWorker(); });
-  while (heavy_source.processed() < 300 || light_source.processed() < 300) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  heavy_source.WaitProcessed();
+  light_source.WaitProcessed();
   heavy->Detach(&heavy_source);
   light->Detach(&light_source);
   dispatcher.Close();
@@ -113,9 +125,7 @@ TEST(FairDispatcherTest, IdleTenantDoesNotStallABusyOne) {
   ASSERT_TRUE(idle->Attach(&idle_source).ok());
 
   std::thread worker([&] { dispatcher.RunWorker(); });
-  while (busy_source.processed() < 50) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  busy_source.WaitProcessed();
   busy->Detach(&busy_source);
   idle->Detach(&idle_source);
   dispatcher.Close();

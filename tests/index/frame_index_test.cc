@@ -4,8 +4,11 @@
 
 #include "index/frame_index.h"
 
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "synth/queries.h"
 #include "synth/workload.h"
 #include "tests/support/render_cache.h"
+#include "util/random.h"
 
 namespace vdb {
 namespace index {
@@ -176,6 +180,49 @@ TEST(FrameIndexTest, EmptyIndexAnswersEmpty) {
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(stats.candidates, 0u);
   EXPECT_EQ(stats.query_tokens, 3u);
+}
+
+// Freeze buckets postings by their tokens' top bits before sorting, which
+// assumes nothing of the tokens: uniform ones, ones sharing their top bits
+// (one bucket), repeats within and across shots, and videos added out of
+// id order all freeze to the sorted, unique (token, video, shot) set —
+// which Deserialize verifies posting by posting.
+TEST(FrameIndexTest, FreezeSortsAnyTokenDistribution) {
+  Pcg32 rng(0xf5eeu);
+  FrameIndex index;
+  std::set<std::tuple<uint64_t, int, int>> expected;
+  for (int video : {3, 0, 2, 1}) {
+    ShotTokens shots(40);
+    for (size_t shot = 0; shot < shots.size(); ++shot) {
+      for (int t = 0; t < 50; ++t) {
+        uint64_t token = 0;
+        switch (rng.NextBounded(3)) {
+          case 0:  // uniform
+            token = (uint64_t{rng.NextU32()} << 32) | rng.NextU32();
+            break;
+          case 1:  // all top bits zero
+            token = rng.NextBounded(64);
+            break;
+          default:  // all top bits set
+            token = ~uint64_t{0} - rng.NextBounded(64);
+            break;
+        }
+        shots[shot].push_back(token);
+        if (t % 7 == 0) shots[shot].push_back(token);  // a repeat
+        expected.emplace(token, video, static_cast<int>(shot));
+      }
+    }
+    index.AddVideo(video, shots);
+  }
+  index.Freeze();
+  EXPECT_EQ(index.posting_count(), expected.size());
+  Result<FrameIndex> restored = FrameIndex::Deserialize(index.Serialize());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  std::vector<uint64_t> one_token = {std::get<0>(*expected.begin())};
+  std::vector<FrameHit> hits = index.Query(one_token, -1);
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(hits[0].video_id, std::get<1>(*expected.begin()));
+  EXPECT_EQ(hits[0].shot_index, std::get<2>(*expected.begin()));
 }
 
 }  // namespace
