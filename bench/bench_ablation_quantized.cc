@@ -1,14 +1,15 @@
 // Ablation: banded similarity queries (Equations 7-8) vs the quantized
 // alternative the paper mentions in Section 4.2 ("matching on quantized
-// data"). Measures agreement with the banded reference and the lookup-cost
-// difference over a large synthetic index.
+// data", modelled in bench/quantized_model.h). Measures agreement with the
+// banded reference and the lookup-cost difference over a large synthetic
+// index.
 
 #include <chrono>
 #include <iostream>
 #include <set>
 
 #include "bench/bench_util.h"
-#include "core/quantized_index.h"
+#include "bench/quantized_model.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -23,10 +24,8 @@ int main() {
   vdb::Pcg32 rng(31337);
   const int kShots = 100000;
   vdb::VarianceIndex banded;
-  vdb::QuantizedVarianceIndex plain;
-  vdb::QuantizedVarianceIndex::Options probe_opts;
-  probe_opts.probe_neighbors = true;
-  vdb::QuantizedVarianceIndex probing(probe_opts);
+  vdb::bench::QuantizedModel plain;
+  vdb::bench::QuantizedModel probing(/*probe_neighbors=*/true);
   for (int i = 0; i < kShots; ++i) {
     vdb::IndexEntry e{i % 100, i, rng.NextDouble(0, 400),
                       rng.NextDouble(0, 400)};
@@ -34,7 +33,7 @@ int main() {
     plain.Add(e);
     probing.Add(e);
   }
-  (void)banded.Query(vdb::VarianceQuery{});  // settle the lazy sort
+  (void)banded.Query(vdb::VarianceQuery{});  // freeze outside the timing
 
   const int kQueries = 2000;
   std::vector<vdb::VarianceQuery> queries;
@@ -69,7 +68,7 @@ int main() {
   }
 
   auto evaluate = [&](const char* name,
-                      const vdb::QuantizedVarianceIndex& index) {
+                      const vdb::bench::QuantizedModel& index) {
     long hit = 0;
     long wanted = 0;
     long returned = 0;

@@ -1,5 +1,7 @@
 #include "core/catalog_io.h"
 
+#include <string_view>
+
 #include "util/binary_io.h"
 #include "util/string_util.h"
 
@@ -9,6 +11,9 @@ namespace {
 constexpr uint32_t kMaxFrames = 1 << 24;
 constexpr uint32_t kMaxShots = 1 << 20;
 constexpr uint32_t kMaxNodes = 1 << 21;
+
+// A signature line is written as its packed r, g, b bytes in one append.
+static_assert(sizeof(PixelRGB) == 3, "PixelRGB must be three packed bytes");
 
 void PutPixel(BinaryWriter* w, const PixelRGB& p) {
   w->PutU8(p.r);
@@ -42,9 +47,9 @@ void SerializeCatalogEntry(const CatalogEntry& entry, BinaryWriter* w) {
     PutPixel(w, fs.sign_ba);
     PutPixel(w, fs.sign_oa);
     w->PutU32(static_cast<uint32_t>(fs.signature_ba.size()));
-    for (const PixelRGB& pixel : fs.signature_ba) {
-      PutPixel(w, pixel);
-    }
+    w->PutBytes(std::string_view(
+        reinterpret_cast<const char*>(fs.signature_ba.data()),
+        fs.signature_ba.size() * sizeof(PixelRGB)));
   }
 
   w->PutU32(static_cast<uint32_t>(entry.shots.size()));

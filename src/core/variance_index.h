@@ -1,7 +1,10 @@
 #ifndef VDB_CORE_VARIANCE_INDEX_H_
 #define VDB_CORE_VARIANCE_INDEX_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,24 +41,33 @@ struct QueryMatch {
   double distance = 0.0;
 };
 
-// The variance-based similarity index. Entries are kept sorted by D^v so a
-// query is a binary-searched band scan over Equation 7's range, filtered by
-// Equation 8.
+// The variance-based similarity index. Writes (Add, AddVideo) append rows;
+// the first read after a write freezes the table: D^v and sqrt(Var^BA) are
+// computed once into columns and bucketed into a uniform grid over
+// (D^v, sqrt(Var^BA)) with tight per-cell bounds. Every read is answered
+// from that frozen grid: a band query visits only the cells the band
+// overlaps, filters the border cells by Equations 7 and 8 exactly, and a
+// top-k visits cells nearest-first and stops once no closer cell remains.
+// Answers are identical to a linear scan (QueryLinear) plus the widening
+// loop, down to the bits of every distance and the (video, shot) order of
+// ties.
 //
 // Thread safety: const operations (all Query variants, size, entries) are
-// safe to call concurrently with each other; Add must not race with them.
+// safe to call concurrently with each other and take no lock once the
+// table is frozen; Add/AddVideo must not race with them.
 class VarianceIndex {
  public:
-  VarianceIndex() = default;
+  VarianceIndex();
+  ~VarianceIndex();
 
-  // Movable (the sort mutex is not moved); not copyable.
+  // Movable (not while another thread reads either side); not copyable.
   VarianceIndex(VarianceIndex&& other) noexcept;
   VarianceIndex& operator=(VarianceIndex&& other) noexcept;
   VarianceIndex(const VarianceIndex&) = delete;
   VarianceIndex& operator=(const VarianceIndex&) = delete;
 
-  // Adds one shot. Entries may arrive in any order; the table is lazily
-  // re-sorted in full on the next query.
+  // Adds one shot. Entries may arrive in any order; the table is re-sorted
+  // in full when it is next frozen.
   void Add(const IndexEntry& entry);
 
   // Adds every shot of a video. When the table is currently sorted this is
@@ -65,17 +77,26 @@ class VarianceIndex {
   // per video, not O((n+m) log (n+m)).
   void AddVideo(int video_id, const std::vector<ShotFeatures>& features);
 
-  int size() const { return static_cast<int>(entries_.size()); }
+  int size() const { return static_cast<int>(rows_.size()); }
 
   // All shots satisfying Equations 7 and 8, ordered by ascending distance
-  // (Euclidean in (D^v, sqrt(VarBA)) space).
+  // (Euclidean in (D^v, sqrt(VarBA)) space), ties by (video, shot).
   std::vector<QueryMatch> Query(const VarianceQuery& query) const;
+
+  // The k nearest shots strictly inside the band — no widening — in Query
+  // order, plus (`in_band`, optional) how many shots the band holds. A
+  // non-empty `keep` restricts both to the entries it accepts. This is the
+  // fixed-band probe a distributed widening loop needs.
+  std::vector<QueryMatch> QueryBand(
+      const VarianceQuery& query, int k,
+      const std::function<bool(const IndexEntry&)>& keep,
+      int64_t* in_band) const;
 
   // The k nearest shots regardless of the tolerance band (used for the
   // paper's "three most similar shots" figures). Shots matching the band
-  // are preferred; the band is widened until k matches exist or the index
-  // is exhausted. `exclude_video`/`exclude_shot` skip the query shot
-  // itself when querying by example (-1 to disable).
+  // are preferred; the band is widened (alpha and beta doubled) until k
+  // matches exist or the index is exhausted. `exclude_video`/`exclude_shot`
+  // skip the query shot itself when querying by example (-1 to disable).
   std::vector<QueryMatch> QueryTopK(const VarianceQuery& query, int k,
                                     int exclude_video = -1,
                                     int exclude_shot = -1) const;
@@ -89,20 +110,33 @@ class VarianceIndex {
       const std::function<bool(const IndexEntry&)>& keep,
       int max_matching) const;
 
-  // Linear-scan variant of Query, used to cross-check the sorted index and
-  // by the performance bench.
+  // Linear-scan variant of Query: the reference the grid is checked
+  // against, and the bench's baseline.
   std::vector<QueryMatch> QueryLinear(const VarianceQuery& query) const;
 
-  const std::vector<IndexEntry>& entries() const { return entries_; }
+  // Every row, stably sorted by D^v (insertion order among equal D^v).
+  const std::vector<IndexEntry>& entries() const;
 
  private:
-  void EnsureSorted() const;
+  struct Frozen;
 
-  // Sorted by D^v (lazily re-sorted after Add; the mutex keeps the lazy
-  // sort safe under concurrent const queries).
-  mutable std::mutex sort_mu_;
-  mutable std::vector<IndexEntry> entries_;
+  // The frozen grid of the current rows, built by the first read after a
+  // write (the only read that takes a lock).
+  const Frozen& frozen() const;
+  const Frozen& FreezeSlow() const;
+  void Thaw();
+
+  template <typename Keep>
+  std::vector<QueryMatch> WidenTopK(const VarianceQuery& query, int k,
+                                    const Keep& keep,
+                                    int64_t max_matching) const;
+
+  // Sorted by D^v whenever `sorted_`; FreezeSlow sorts them otherwise.
+  mutable std::vector<IndexEntry> rows_;
   mutable bool sorted_ = true;
+  mutable std::mutex freeze_mu_;
+  mutable std::unique_ptr<const Frozen> frozen_owner_;
+  mutable std::atomic<const Frozen*> frozen_{nullptr};
 };
 
 }  // namespace vdb

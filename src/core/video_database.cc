@@ -1,6 +1,7 @@
 #include "core/video_database.h"
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 
 #include "core/kernels.h"
@@ -341,19 +342,16 @@ Result<std::vector<BrowsingSuggestion>> VideoDatabase::SearchBanded(
       }
     }
   }
-  std::vector<QueryMatch> matches = index_.Query(query);
+  std::function<bool(const IndexEntry&)> keep;
   if (filter != nullptr) {
-    std::erase_if(matches, [&](const QueryMatch& m) {
-      return !(m.entry.video_id >= 0 &&
-               m.entry.video_id < VideoCountLocked() &&
-               video_matches[static_cast<size_t>(m.entry.video_id)]);
-    });
+    keep = [&](const IndexEntry& e) {
+      return e.video_id >= 0 && e.video_id < VideoCountLocked() &&
+             video_matches[static_cast<size_t>(e.video_id)];
+    };
   }
-  if (in_band != nullptr) *in_band = static_cast<int64_t>(matches.size());
+  std::vector<QueryMatch> matches =
+      index_.QueryBand(query, top_k, keep, in_band);
   if (eligible != nullptr) *eligible = max_matching;
-  if (static_cast<int>(matches.size()) > top_k) {
-    matches.resize(static_cast<size_t>(top_k));
-  }
   std::vector<BrowsingSuggestion> suggestions;
   suggestions.reserve(matches.size());
   for (const QueryMatch& m : matches) {

@@ -13,8 +13,8 @@ namespace vdb {
 namespace index {
 
 // The query-by-frame index: given one frame's signature, find every shot
-// whose sketch shares its tokens — the sub-linear complement to the linear
-// banded scan of core/variance_index.h (ROADMAP's million-clip workload).
+// whose sketch shares its tokens — the image-side complement to the
+// variance grid of core/variance_index.h (ROADMAP's million-clip workload).
 //
 // One exact tier: a frozen, sorted flat array of (token, video, shot)
 // postings. A query binary-searches each of its tokens and ranks

@@ -22,6 +22,8 @@ class BinaryWriter {
   void PutDouble(double v);
   // Length-prefixed (u32) byte string.
   void PutString(std::string_view s);
+  // Raw bytes, no length prefix.
+  void PutBytes(std::string_view bytes) { buffer_.append(bytes); }
 
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }

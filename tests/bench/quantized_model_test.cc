@@ -1,4 +1,9 @@
-#include "core/quantized_index.h"
+// The quantized-matching model bench_ablation_quantized measures against
+// the banded index: own-cell lookup, band-overlap probing and its recall
+// parity with the band, pinned so the ablation's figures keep their
+// meaning.
+
+#include "bench/quantized_model.h"
 
 #include <cmath>
 #include <set>
@@ -8,6 +13,7 @@
 #include "util/random.h"
 
 namespace vdb {
+namespace bench {
 namespace {
 
 IndexEntry Entry(int shot, double var_ba, double var_oa) {
@@ -15,7 +21,7 @@ IndexEntry Entry(int shot, double var_ba, double var_oa) {
 }
 
 TEST(QuantizedIndexTest, SameCellMatches) {
-  QuantizedVarianceIndex index;
+  QuantizedModel index;
   // Query Dv = 1, sqrtBA = 4 lands in cell (0, 2) with sides 2x2.
   index.Add(Entry(0, 16.0, 9.0));   // Dv 1, sqrtBA 4 -> same cell
   index.Add(Entry(1, 17.0, 9.5));   // nearby, same cell
@@ -32,10 +38,8 @@ TEST(QuantizedIndexTest, SameCellMatches) {
 TEST(QuantizedIndexTest, BorderMissWithoutNeighborProbing) {
   // Two shots 0.2 apart in Dv but on opposite sides of a cell border
   // (cells are [0,2), [2,4) ...): plain quantized lookup misses one.
-  QuantizedVarianceIndex::Options opts;
-  QuantizedVarianceIndex plain(opts);
-  opts.probe_neighbors = true;
-  QuantizedVarianceIndex probing(opts);
+  QuantizedModel plain;
+  QuantizedModel probing(/*probe_neighbors=*/true);
   for (auto* index : {&plain, &probing}) {
     index->Add(Entry(0, std::pow(2.1 + 3.0, 2), 9.0));  // Dv = 2.1
     index->Add(Entry(1, std::pow(1.9 + 3.0, 2), 9.0));  // Dv = 1.9
@@ -48,7 +52,7 @@ TEST(QuantizedIndexTest, BorderMissWithoutNeighborProbing) {
 }
 
 TEST(QuantizedIndexTest, MatchesSortedByDistance) {
-  QuantizedVarianceIndex index;
+  QuantizedModel index;
   index.Add(Entry(0, 16.0, 9.0));
   index.Add(Entry(1, 18.0, 9.0));
   index.Add(Entry(2, 16.5, 9.0));
@@ -62,7 +66,7 @@ TEST(QuantizedIndexTest, MatchesSortedByDistance) {
 }
 
 TEST(QuantizedIndexTest, CellCountGrowsWithSpread) {
-  QuantizedVarianceIndex index;
+  QuantizedModel index;
   for (int i = 0; i < 10; ++i) {
     index.Add(Entry(i, std::pow(3.0 * i, 2), 0.0));
   }
@@ -71,7 +75,7 @@ TEST(QuantizedIndexTest, CellCountGrowsWithSpread) {
 }
 
 TEST(QuantizedIndexTest, NegativeDvCellsWork) {
-  QuantizedVarianceIndex index;
+  QuantizedModel index;
   index.Add(Entry(0, 0.0, 25.0));  // Dv = -5
   VarianceQuery q;
   q.var_ba = 0.0;
@@ -89,9 +93,7 @@ class QuantizedVsBandedTest : public testing::TestWithParam<int> {};
 TEST_P(QuantizedVsBandedTest, NeighborProbingCoversTheBand) {
   Pcg32 rng(static_cast<uint64_t>(GetParam()) * 131 + 17);
   VarianceIndex banded;
-  QuantizedVarianceIndex::Options opts;
-  opts.probe_neighbors = true;
-  QuantizedVarianceIndex quantized(opts);
+  QuantizedModel quantized(/*probe_neighbors=*/true);
   for (int i = 0; i < 300; ++i) {
     IndexEntry e = Entry(i, rng.NextDouble(0, 200), rng.NextDouble(0, 200));
     banded.Add(e);
@@ -125,9 +127,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QuantizedVsBandedTest,
                          testing::Range(0, 6));
 
 TEST(QuantizedIndexTest, CostAwareProbeSkipsUncoveredNeighbors) {
-  QuantizedVarianceIndex::Options opts;
-  opts.probe_neighbors = true;
-  QuantizedVarianceIndex index(opts);
+  QuantizedModel index(/*probe_neighbors=*/true);
   index.Add(Entry(0, 25.0, 16.0));
   // Query dead-centre of its cell with a band narrower than the distance
   // to any border: exactly one cell may be probed. sqrtBA 5 and Dv 1 sit
@@ -154,9 +154,7 @@ TEST(QuantizedIndexTest, CostAwareProbeSkipsUncoveredNeighbors) {
 TEST(QuantizedIndexTest, WideBandStillCoversEveryOverlappedCell) {
   // A band wider than one cell must widen the probe window accordingly —
   // cost awareness may never trade recall.
-  QuantizedVarianceIndex::Options opts;
-  opts.probe_neighbors = true;
-  QuantizedVarianceIndex quantized(opts);
+  QuantizedModel quantized(/*probe_neighbors=*/true);
   VarianceIndex banded;
   for (int i = 0; i < 50; ++i) {
     IndexEntry e = Entry(i, std::pow(1.0 + 0.5 * i, 2), 0.25 * i);
@@ -178,4 +176,5 @@ TEST(QuantizedIndexTest, WideBandStillCoversEveryOverlappedCell) {
 }
 
 }  // namespace
+}  // namespace bench
 }  // namespace vdb

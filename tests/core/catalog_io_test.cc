@@ -14,8 +14,10 @@
 #include "store/catalog_store.h"
 #include "synth/presets.h"
 #include "synth/renderer.h"
+#include "synth/workload.h"
 #include "tests/support/render_cache.h"
 #include "tests/support/temp_store.h"
+#include "util/binary_io.h"
 #include "util/fs.h"
 #include "video/video_io.h"
 
@@ -154,6 +156,79 @@ TEST_F(CatalogIoTest, PlainFileIsNotAStore) {
   EXPECT_EQ(store::CatalogStore(path).Open().status().code(),
             StatusCode::kIoError);
   std::remove(path.c_str());
+}
+
+// The entry codec, field by field, writing every pixel as three single
+// bytes: the reference the codec's bulk line writes must reproduce.
+std::string ReferenceEntryBytes(const CatalogEntry& entry) {
+  BinaryWriter w;
+  auto pixel = [&w](const PixelRGB& p) {
+    w.PutU8(p.r);
+    w.PutU8(p.g);
+    w.PutU8(p.b);
+  };
+  w.PutString(entry.name);
+  w.PutU32(static_cast<uint32_t>(entry.classification.genre_ids.size()));
+  for (int g : entry.classification.genre_ids) w.PutI32(g);
+  w.PutI32(entry.classification.form_id);
+  w.PutDouble(entry.fps);
+  w.PutI32(entry.frame_count);
+  w.PutI32(entry.signatures.geometry.frame_width);
+  w.PutI32(entry.signatures.geometry.frame_height);
+  w.PutU32(static_cast<uint32_t>(entry.signatures.frames.size()));
+  for (const FrameSignature& fs : entry.signatures.frames) {
+    pixel(fs.sign_ba);
+    pixel(fs.sign_oa);
+    w.PutU32(static_cast<uint32_t>(fs.signature_ba.size()));
+    for (const PixelRGB& p : fs.signature_ba) pixel(p);
+  }
+  w.PutU32(static_cast<uint32_t>(entry.shots.size()));
+  for (const Shot& shot : entry.shots) {
+    w.PutI32(shot.start_frame);
+    w.PutI32(shot.end_frame);
+  }
+  for (const ShotFeatures& f : entry.features) {
+    w.PutDouble(f.var_ba);
+    w.PutDouble(f.var_oa);
+  }
+  w.PutU64(static_cast<uint64_t>(entry.sbd_stats.stage1_same));
+  w.PutU64(static_cast<uint64_t>(entry.sbd_stats.stage2_same));
+  w.PutU64(static_cast<uint64_t>(entry.sbd_stats.stage3_same));
+  w.PutU64(static_cast<uint64_t>(entry.sbd_stats.stage3_boundary));
+  w.PutI32(entry.scene_tree.root());
+  w.PutU32(static_cast<uint32_t>(entry.scene_tree.node_count()));
+  for (const SceneNode& node : entry.scene_tree.nodes()) {
+    w.PutI32(node.parent);
+    w.PutI32(node.level);
+    w.PutI32(node.shot_index);
+    w.PutI32(node.representative_frame);
+    w.PutU32(static_cast<uint32_t>(node.children.size()));
+    for (int child : node.children) w.PutI32(child);
+  }
+  return w.TakeBuffer();
+}
+
+// A round trip cannot see a matched change to encoder and decoder, so the
+// encoded bytes of a Table-5 preset entry are pinned to the reference.
+TEST(CatalogEntryBytesTest, MatchesPerPixelReferenceEncoder) {
+  const ClipProfile profile = Table5Profiles().front();
+  const Video& video = testsupport::CachedRender(
+                           MakeStoryboardFromProfile(profile, 0.03, 3))
+                           .video;
+  VideoDatabase db;
+  Result<int> id = db.Ingest(video);
+  ASSERT_TRUE(id.ok()) << id.status();
+  CatalogEntry entry = *db.GetEntry(*id).value();
+  entry.classification.genre_ids = {2, 7};
+  entry.classification.form_id = 1;
+  ASSERT_FALSE(entry.signatures.frames.empty());
+  ASSERT_FALSE(entry.signatures.frames[0].signature_ba.empty());
+
+  BinaryWriter w;
+  SerializeCatalogEntry(entry, &w);
+  std::string want = ReferenceEntryBytes(entry);
+  ASSERT_EQ(w.buffer().size(), want.size()) << profile.name;
+  EXPECT_TRUE(w.buffer() == want) << profile.name;
 }
 
 TEST(IngestFileTest, MatchesInMemoryIngest) {
