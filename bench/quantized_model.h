@@ -15,21 +15,21 @@ namespace bench {
 // The paper's Section 4.2 notes that "another common way to handle inexact
 // queries is to do matching on quantized data". This is that alternative,
 // modelled for bench_ablation_quantized (the library answers every query
-// from VarianceIndex): the (D^v, sqrt(Var^BA)) plane is cut into cells of
-// side 2*alpha x 2*beta, keyed by floor(value / side), and a query returns
-// the shots in its own cell — or, with `probe_neighbors`, in exactly the
-// cells its +-alpha x +-beta band overlaps (per dimension the keys from
-// floor((q - tol) / side) to floor((q + tol) / side)). Cell membership is
+// from VarianceIndex): the (D^v, sqrt(Var^BA)) plane is cut into square
+// cells of side kCell = 2*alpha for the paper's alpha = beta = 1, keyed by
+// floor(value / kCell), and a query returns the shots in its own cell —
+// or, with `probe_neighbors`, in exactly the cells its +-alpha x +-beta
+// band overlaps (per dimension the keys from floor((q - tol) / kCell) to
+// floor((q + tol) / kCell)). Cell membership is
 // the whole answer: no band filter, so border shots the banded model
 // would return are missed by the own-cell probe, and the band-overlap
 // probe returns extra ones.
 class QuantizedModel {
  public:
-  explicit QuantizedModel(bool probe_neighbors = false, double dv_cell = 2.0,
-                          double ba_cell = 2.0)
-      : probe_neighbors_(probe_neighbors),
-        dv_cell_(dv_cell),
-        ba_cell_(ba_cell) {}
+  static constexpr double kCell = 2.0;
+
+  explicit QuantizedModel(bool probe_neighbors = false)
+      : probe_neighbors_(probe_neighbors) {}
 
   void Add(const IndexEntry& e) {
     cells_[Key(e.Dv(), e.SqrtVarBa())].push_back(e);
@@ -78,13 +78,11 @@ class QuantizedModel {
 
  private:
   std::pair<long, long> Key(double dv, double sqrt_ba) const {
-    return {static_cast<long>(std::floor(dv / dv_cell_)),
-            static_cast<long>(std::floor(sqrt_ba / ba_cell_))};
+    return {static_cast<long>(std::floor(dv / kCell)),
+            static_cast<long>(std::floor(sqrt_ba / kCell))};
   }
 
   bool probe_neighbors_;
-  double dv_cell_;
-  double ba_cell_;
   std::map<std::pair<long, long>, std::vector<IndexEntry>> cells_;
   int size_ = 0;
 };

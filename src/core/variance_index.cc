@@ -68,7 +68,6 @@ struct Band {
   }
   // No point can be inside (a negative or NaN tolerance, or a NaN query).
   bool Empty() const { return !(dv_lo <= dv_hi && ba_lo <= ba_hi); }
-  bool operator==(const Band&) const = default;
 };
 
 // Tight bounds of a set of points. Pruning compares the points' own
@@ -131,9 +130,6 @@ struct VarianceIndex::Frozen {
   // [cell_start[c], cell_start[c + 1]).
   std::vector<uint32_t> cell_start;
   std::vector<Box> cell_box;
-  // Summed-area table of cell sizes: entry (x, y) of the (nx + 1)-wide
-  // table counts the points of the cells left of column x and below row y.
-  std::vector<uint32_t> cell_sum;
   Box bounds;  // of every point
   // Per grid column x: the least D^v in columns x.. and the greatest in
   // columns ..x (likewise per row for sqrt(Var^BA)). Buckets are
@@ -167,31 +163,17 @@ struct VarianceIndex::Frozen {
                 Bucket(band.ba_hi, ba_origin, ba_scale, ny)};
   }
 
-  // How many in-band entries `keep` accepts. Unfiltered, the cells
-  // strictly inside the span are wholly inside the band (a point whose
-  // bucket lies above Bucket(lo) and below Bucket(hi) lies strictly
-  // between lo and hi), and the summed-area table counts them at once;
-  // only the span's frame is filtered.
+  // How many in-band entries `keep` accepts: unfiltered, a cell whose
+  // tight box lies inside the band counts whole; any other overlapping
+  // cell is filtered entry by entry.
   template <typename Keep>
   int64_t Count(const Band& band, const Keep& keep) const {
     constexpr bool keep_all = std::is_same_v<Keep, AcceptAll>;
     int64_t count = 0;
     if (band.Empty()) return count;
     const Span s = SpanOf(band);
-    const bool hollow = keep_all && s.x1 - s.x0 >= 2 && s.y1 - s.y0 >= 2;
-    if (hollow) {
-      auto sum = [&](int x, int y) {
-        return static_cast<int64_t>(
-            cell_sum[static_cast<size_t>(y) * static_cast<size_t>(nx + 1) +
-                     static_cast<size_t>(x)]);
-      };
-      count += sum(s.x1, s.y1) - sum(s.x0 + 1, s.y1) - sum(s.x1, s.y0 + 1) +
-               sum(s.x0 + 1, s.y0 + 1);
-    }
     for (int y = s.y0; y <= s.y1; ++y) {
-      const bool frame_row = !hollow || y == s.y0 || y == s.y1;
-      for (int x = s.x0; x <= s.x1;
-           x = (frame_row || x == s.x1) ? x + 1 : s.x1) {
+      for (int x = s.x0; x <= s.x1; ++x) {
         size_t c = Cell(x, y);
         uint32_t begin = cell_start[c];
         uint32_t end = cell_start[c + 1];
@@ -427,18 +409,6 @@ VarianceIndex::Frozen::Frozen(const std::vector<IndexEntry>& rows) {
   for (int y = 1; y < ny; ++y) {
     ba_upto[y] = std::max(ba_upto[y], ba_upto[y - 1]);
   }
-
-  const size_t width = static_cast<size_t>(nx) + 1;
-  cell_sum.assign(width * (static_cast<size_t>(ny) + 1), 0);
-  for (int y = 0; y < ny; ++y) {
-    for (int x = 0; x < nx; ++x) {
-      size_t c = Cell(x, y);
-      size_t at = (static_cast<size_t>(y) + 1) * width +
-                  static_cast<size_t>(x) + 1;
-      cell_sum[at] = cell_start[c + 1] - cell_start[c] + cell_sum[at - 1] +
-                     cell_sum[at - width] - cell_sum[at - width - 1];
-    }
-  }
 }
 
 VarianceIndex::VarianceIndex() = default;
@@ -575,8 +545,11 @@ std::vector<QueryMatch> VarianceIndex::QueryLinear(
 // accepted entries (or max_matching of them), else with the last round's
 // band. Each round here is one nearest-first Select that stops as soon as
 // its top-k is settled, and the loop ends early once a wider band could
-// not change the answer: the band is unchanged (alpha and beta of 0 or
-// infinity) or already holds every point.
+// not change the answer: doubling leaves alpha and beta as they are (0 or
+// infinity), or the band already holds every point. (A tolerance below
+// the rounding of the query's coordinates can leave one round's band
+// unchanged and still widen it in a later round, so the band itself is
+// not the test.)
 template <typename Keep>
 std::vector<QueryMatch> VarianceIndex::WidenTopK(const VarianceQuery& query,
                                                  int k, const Keep& keep,
@@ -594,9 +567,9 @@ std::vector<QueryMatch> VarianceIndex::WidenTopK(const VarianceQuery& query,
     int64_t count = f.Select(band, q_dv, q_ba, want, keep, &top);
     if (top.size() >= want || count >= max_matching) break;
     if (f.Covers(band)) break;
+    if (alpha * 2.0 == alpha && beta * 2.0 == beta) break;
     alpha *= 2.0;
     beta *= 2.0;
-    if (Band(q_dv, q_ba, alpha, beta) == band) break;
   }
   return top;
 }

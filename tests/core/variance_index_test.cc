@@ -7,8 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <tuple>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -479,10 +480,14 @@ void CheckQuery(const VarianceIndex& index, const VarianceQuery& q, int k,
   EXPECT_EQ(in_band, static_cast<int64_t>(band.size())) << what;
 }
 
-const double kTolerances[] = {0.0, 0.5, 1.0, 7.0, 1e300};
+// 1e-16 is below half an ulp of most query coordinates, so its first
+// doublings leave the band unchanged and only later rounds widen it.
+const double kTolerances[] = {0.0, 1e-16, 0.5, 1.0, 7.0, 1e300};
 
-// Queries at catalog shots (as a browsing client sends them) and at random
-// points, over every tolerance pair.
+// Queries at catalog shots (as a browsing client sends them), at random
+// points and, last, one far beyond every shot (sqrt(Var^BA) = 1e17, whose
+// ulp of 16 swallows the smaller tolerances for several doublings), over
+// every tolerance pair.
 void CheckTable(const std::vector<IndexEntry>& rows, bool by_video,
                 int queries, bool all_pairs, uint64_t seed,
                 double max_var) {
@@ -490,9 +495,12 @@ void CheckTable(const std::vector<IndexEntry>& rows, bool by_video,
   Fill(rows, by_video, &index);
   Pcg32 rng(seed);
   const int k = 10;
-  for (int i = 0; i < queries; ++i) {
+  for (int i = 0; i <= queries; ++i) {
     VarianceQuery q;
-    if (!rows.empty() && i % 2 == 0) {
+    if (i == queries) {
+      q.var_ba = 1e34;
+      q.var_oa = rng.NextDouble(0.0, max_var);
+    } else if (!rows.empty() && i % 2 == 0) {
       const IndexEntry& e = rows[rng.NextBounded(
           static_cast<uint32_t>(rows.size()))];
       q.var_ba = e.var_ba;
@@ -506,10 +514,10 @@ void CheckTable(const std::vector<IndexEntry>& rows, bool by_video,
         if (!all_pairs && alpha != beta) continue;
         q.alpha = alpha;
         q.beta = beta;
-        CheckQuery(index, q, k, &rng,
-                   "n=" + std::to_string(rows.size()) + " query " +
-                       std::to_string(i) + " alpha=" + std::to_string(alpha) +
-                       " beta=" + std::to_string(beta));
+        std::ostringstream what;
+        what << "n=" << rows.size() << " query " << i << " alpha=" << alpha
+             << " beta=" << beta;
+        CheckQuery(index, q, k, &rng, what.str());
         if (testing::Test::HasFatalFailure()) return;
       }
     }
